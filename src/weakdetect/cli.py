@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,20 +36,10 @@ _NEEDS_INPUT = {"validate", "detect", "detect-pure", "tomo", "pointer-sim", "rob
 
 CIRCUIT_EPSILONS = (1e-3, 1e-2, 0.1, 0.5, 1.0)
 
-
-@dataclass(frozen=True)
-class RunConfig:
-    command: str
-    input_path: str | None
-    epsilon: float
-    sigma: float
-    grid_n: int
-    grid_l: float
-    seed: int
-    trials: int
-    delta: float
-    tol_det: float | None
-    output: str
+# States per stacked pass of ``benchmark``. A pass holds about 3 kB per
+# state, so this bounds memory for any --trials; 256 runs as fast as one
+# pass of 1000 and keeps the peak resident set at that of a per-state loop.
+BENCHMARK_CHUNK = 256
 
 
 class _Parser(argparse.ArgumentParser):
@@ -59,6 +48,13 @@ class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.print_usage(sys.stderr)
         self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+
+
+def _count(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -72,31 +68,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--grid-n", type=int, default=4096)
         p.add_argument("--grid-l", type=float, default=40.0)
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--trials", type=int, default=1000)
+        p.add_argument("--trials", type=_count, default=1000)
         p.add_argument("--delta", type=float, default=1e-2)
         p.add_argument("--tol-det", dest="tol_det", type=float, default=None)
         p.add_argument("--format", dest="output", choices=("json", "text", "csv"),
                        default="json")
     return parser
-
-
-def _config_from_args(args: argparse.Namespace) -> RunConfig:
-    cfg = RunConfig(
-        command=args.command,
-        input_path=args.input_path,
-        epsilon=args.epsilon,
-        sigma=args.sigma,
-        grid_n=args.grid_n,
-        grid_l=args.grid_l,
-        seed=args.seed,
-        trials=args.trials,
-        delta=args.delta,
-        tol_det=args.tol_det,
-        output=args.output,
-    )
-    if cfg.command in _NEEDS_INPUT and cfg.input_path is None:
-        raise _UsageError(f"{cfg.command} requires --input PATH")
-    return cfg
 
 
 class _UsageError(ValueError):
@@ -108,15 +85,15 @@ def _load_json(path: str) -> dict:
         return json.load(handle)
 
 
-def _load_state(cfg: RunConfig) -> states.TwoQubitState:
+def _load_state(cfg: argparse.Namespace) -> states.TwoQubitState:
     return states.state_from_json_dict(_load_json(cfg.input_path))
 
 
-def _tau_det(cfg: RunConfig) -> float:
+def _tau_det(cfg: argparse.Namespace) -> float:
     return cfg.tol_det if cfg.tol_det is not None else states.TAU_DET
 
 
-def _sim_config(cfg: RunConfig, epsilon: float | None = None) -> pointer.SimConfig:
+def _sim_config(cfg: argparse.Namespace, epsilon: float | None = None) -> pointer.SimConfig:
     grid = pointer.PointerGrid(n=cfg.grid_n, half_extent=cfg.grid_l)
     return pointer.SimConfig(
         epsilon=cfg.epsilon if epsilon is None else epsilon,
@@ -129,7 +106,7 @@ def _pair(value: complex) -> list[float]:
     return [float(value.real), float(value.imag)]
 
 
-def cmd_validate(cfg: RunConfig):
+def cmd_validate(cfg: argparse.Namespace):
     try:
         rho = _load_state(cfg)
     except states.StateValidationError as exc:
@@ -150,19 +127,19 @@ def cmd_validate(cfg: RunConfig):
     return doc, None, EXIT_OK
 
 
-def cmd_detect(cfg: RunConfig):
+def cmd_detect(cfg: argparse.Namespace):
     rho = _load_state(cfg)
     report = protocol.detect(rho, tau_det=_tau_det(cfg))
     return report.to_json_dict(), None, EXIT_OK
 
 
-def cmd_detect_pure(cfg: RunConfig):
+def cmd_detect_pure(cfg: argparse.Namespace):
     psi = states.amplitudes_from_json_dict(_load_json(cfg.input_path))
     report = protocol.detect_pure_local(psi)
     return report.to_json_dict(), None, EXIT_OK
 
 
-def cmd_tomo(cfg: RunConfig):
+def cmd_tomo(cfg: argparse.Namespace):
     rho = _load_state(cfg)
     wv = protocol.weak_values_all(rho)
     diag = protocol.diagonals_from_postselection(rho)
@@ -177,7 +154,7 @@ def cmd_tomo(cfg: RunConfig):
     return doc, None, EXIT_OK
 
 
-def cmd_pointer_sim(cfg: RunConfig):
+def cmd_pointer_sim(cfg: argparse.Namespace):
     rho = _load_state(cfg)
     exact = protocol.weak_values_all(rho)
     full = pointer.estimate_weak_values(rho, _sim_config(cfg))
@@ -223,7 +200,7 @@ def cmd_pointer_sim(cfg: RunConfig):
     return doc, rows, EXIT_OK
 
 
-def cmd_circuit_verify(cfg: RunConfig):
+def cmd_circuit_verify(cfg: argparse.Namespace):
     eps_grid = sorted(set(CIRCUIT_EPSILONS) | {cfg.epsilon})
     per_eps = {}
     for eps in eps_grid:
@@ -247,54 +224,52 @@ def cmd_circuit_verify(cfg: RunConfig):
     return doc, rows, EXIT_OK
 
 
-def cmd_robustness(cfg: RunConfig):
+def cmd_robustness(cfg: argparse.Namespace):
     rho = _load_state(cfg)
     report = robustness.bound_check(rho, cfg.delta, cfg.trials, cfg.seed)
     doc = {"command": "robustness", **report.to_json_dict()}
     return doc, report.csv_rows(), EXIT_OK
 
 
-def cmd_benchmark(cfg: RunConfig):
+def cmd_benchmark(cfg: argparse.Namespace):
     rng = np.random.default_rng(cfg.seed)
     tau = _tau_det(cfg)
-    agreement = {
-        "entangled_entangled": 0,
-        "separable_separable": 0,
-        "entangled_separable": 0,
-        "separable_entangled": 0,
-    }
-    mismatches = 0
-    distances = []
-    rows = []
-    for trial in range(cfg.trials):
-        rho = states.random_mixed(rng)
-        verdict = protocol.detect(rho, tau_det=tau).verdict
-        oracle = states.ppt_oracle(rho, tau=tau)
-        key = f"{verdict.value.lower()}_{oracle.value.lower()}"
-        agreement[key] += 1
-        if verdict is not oracle:
-            mismatches += 1
-        wv = protocol.weak_values_all(rho)
-        diag = protocol.diagonals_from_postselection(rho)
-        rebuilt = protocol.reconstruct(wv, diag)
-        distance = states.trace_distance(rho, rebuilt)
-        distances.append(distance)
-        rows.append([trial, verdict.value, oracle.value,
-                     int(verdict is oracle), distance])
+    n = cfg.trials
+    verdict = np.empty(n, dtype=bool)
+    oracle = np.empty(n, dtype=bool)
+    path = np.empty(n, dtype=int)
+    distance = np.empty(n)
+    for lo in range(0, n, BENCHMARK_CHUNK):
+        hi = min(lo + BENCHMARK_CHUNK, n)
+        stack = states.random_mixed_batch(rng, hi - lo)
+        report = protocol.detect_batch(stack, tau_det=tau)
+        rebuilt = protocol.reconstruct_batch(report.weak_values, report.defined, report.diagonal)
+        verdict[lo:hi] = report.entangled
+        path[lo:hi] = report.path
+        oracle[lo:hi] = states.ppt_entangled(stack, tau=tau)
+        distance[lo:hi] = states.trace_distance_batch(stack, rebuilt)
+    names = ("separable", "entangled")
+    counts = np.bincount(2 * verdict + oracle, minlength=4).tolist()
+    agreement = {f"{names[v]}_{names[o]}": counts[2 * v + o] for v in (0, 1) for o in (0, 1)}
+    mismatches = int(np.count_nonzero(verdict != oracle))
+    distances = distance.tolist()
     doc = {
         "command": "benchmark",
-        "trials": cfg.trials,
+        "trials": n,
         "seed": cfg.seed,
         "agreement": agreement,
         "mismatches": mismatches,
-        "agreement_rate": (cfg.trials - mismatches) / cfg.trials if cfg.trials else 1.0,
+        "agreement_rate": (n - mismatches) / n if n else 1.0,
+        "paths": dict(zip((p.value for p in protocol.BATCH_PATHS),
+                          np.bincount(path, minlength=len(protocol.BATCH_PATHS)).tolist())),
         "reconstruction": {
             "max_trace_distance": max(distances, default=0.0),
-            "mean_trace_distance": (
-                float(sum(distances) / len(distances)) if distances else 0.0
-            ),
+            "mean_trace_distance": float(sum(distances) / n) if n else 0.0,
         },
     }
+    rows = list(zip(range(n), np.where(verdict, "Entangled", "Separable").tolist(),
+                    np.where(oracle, "Entangled", "Separable").tolist(),
+                    (verdict == oracle).astype(int).tolist(), distances))
     return doc, rows, EXIT_OK
 
 
@@ -339,8 +314,9 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code) if exc.code else EXIT_OK
     try:
-        cfg = _config_from_args(args)
-        doc, rows, code = _HANDLERS[cfg.command](cfg)
+        if args.command in _NEEDS_INPUT and args.input_path is None:
+            raise _UsageError(f"{args.command} requires --input PATH")
+        doc, rows, code = _HANDLERS[args.command](args)
     except _UsageError as exc:
         print(f"weakdetect: error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -354,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except protocol.OracleMismatchError as exc:
         print(f"weakdetect: internal assertion failed: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    print(render(doc, rows, cfg.output))
+    print(render(doc, rows, args.output))
     return code
 
 

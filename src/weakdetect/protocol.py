@@ -15,6 +15,11 @@ probabilities the protocol evaluates the sign of det(rho^TB) (entangled iff
 negative), handles the degenerate branches where a diagonal vanishes,
 reconstructs the full state, and - for pure states - runs the local variant
 whose interaction acts on a single qubit.
+
+The Hamiltonian is a permutation matrix, so the weak value at outcome
+k = 4a + b + 1 is a gather, rho[a', a] rho[b', b] / (rho[a, a] rho[b, b])
+with 4a' + b' = PERM[k - 1]. The ``*_batch`` functions work on (N, 4, 4)
+stacks that way, never forming rho x rho; the scalar functions are N = 1.
 """
 
 from __future__ import annotations
@@ -30,7 +35,7 @@ from .states import (
     TAU_DET,
     TwoQubitState,
     Verdict,
-    validate,
+    validate_batch,
 )
 
 # Diagonal below TAU_DIAG counts as "no signal before the interaction" and
@@ -49,7 +54,6 @@ TAU_WV = 1e-9
 TAU_DEN = 1e-12
 
 INFORMATIVE_OUTCOMES = (1, 2, 3, 4, 9, 10, 11, 12, 13, 14, 15, 16)
-REDUNDANT_OUTCOMES = (5, 6, 7, 8)
 
 # outcome -> (row, col, diagonal index) of the element ratio it measures:
 # weak value at k equals matrix[row, col] / matrix[diag, diag].
@@ -93,6 +97,10 @@ class DecisionPath(Enum):
     PURE_LOCAL = "PureLocal"
 
 
+# Decision paths of detect_batch, by the code it reports per state.
+BATCH_PATHS = (DecisionPath.GENERAL, DecisionPath.CASE_I, DecisionPath.CASE_II)
+
+
 @dataclass(frozen=True, eq=False)
 class WeakHamiltonian:
     """16x16 Hermitian generator of the weak interaction; squares to identity."""
@@ -119,50 +127,33 @@ class WeakValueSet:
     def defined(self) -> frozenset[int]:
         return frozenset(self.values)
 
+    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
+        """(values, defined mask) over outcomes 1..16; 0 where undefined."""
+        values = np.array([self.values.get(k, 0j) for k in range(1, 17)], dtype=complex)
+        return values, np.array([k in self.values for k in range(1, 17)])
 
-@dataclass(frozen=True)
+
+@dataclass(frozen=True, eq=False)
 class RatioSet:
-    """The twelve element ratios the informative outcomes measure."""
+    """The element ratios the outcomes measure, outcome k at index k - 1."""
 
-    ustar_over_p: complex
-    u_over_q: complex
-    zstar_over_r: complex
-    z_over_s: complex
-    vstar_over_p: complex
-    ystar_over_q: complex
-    v_over_r: complex
-    y_over_s: complex
-    wstar_over_p: complex
-    xstar_over_q: complex
-    x_over_r: complex
-    w_over_s: complex
-
-    _OUTCOME_FIELDS = (
-        (1, "ustar_over_p"),
-        (2, "u_over_q"),
-        (3, "zstar_over_r"),
-        (4, "z_over_s"),
-        (9, "vstar_over_p"),
-        (10, "ystar_over_q"),
-        (11, "v_over_r"),
-        (12, "y_over_s"),
-        (13, "wstar_over_p"),
-        (14, "xstar_over_q"),
-        (15, "x_over_r"),
-        (16, "w_over_s"),
-    )
+    values: np.ndarray
 
     @classmethod
     def from_weak_values(cls, wv: WeakValueSet) -> "RatioSet":
-        missing = [k for k, _ in cls._OUTCOME_FIELDS if k not in wv.values]
+        missing = [k for k in INFORMATIVE_OUTCOMES if k not in wv.values]
         if missing:
             raise NoSignalError(f"outcomes {missing} undefined; ratios incomplete")
-        return cls(**{name: wv.values[k] for k, name in cls._OUTCOME_FIELDS})
+        return cls(wv.arrays()[0])
 
     @classmethod
     def from_state(cls, rho: TwoQubitState) -> "RatioSet":
-        """Ratios read directly off the matrix (test oracle / fallback)."""
-        return cls(**{name: element_ratio(rho, k) for k, name in cls._OUTCOME_FIELDS})
+        """Ratios read directly off the matrix (test oracle)."""
+        ratios = _element_ratios(rho.matrix[None], TAU_DIAG)[0]
+        if np.isnan(ratios).any():
+            raise NoSignalError(f"diagonal {rho.diagonal()} has an entry at or below "
+                                f"{TAU_DIAG:.0e}; ratios undefined")
+        return cls(ratios)
 
 
 @dataclass(frozen=True)
@@ -188,10 +179,37 @@ class DetectionReport:
         }
 
 
+@dataclass(frozen=True, eq=False)
+class BatchReport:
+    """Results of :func:`detect_batch`, one row per state. ``path`` indexes
+    BATCH_PATHS; ``det_scaled`` is NaN off the General path."""
+
+    weak_values: np.ndarray    # (N, 16) complex, 0 where not defined
+    defined: np.ndarray        # (N, 16) bool
+    diagonal: np.ndarray       # (N, 4), from the post-selection probabilities
+    path: np.ndarray           # (N,) int
+    entangled: np.ndarray      # (N,) bool
+    det_scaled: np.ndarray     # (N,)
+    det_value: np.ndarray      # (N,)
+
+    def report(self, i: int) -> DetectionReport:
+        path = BATCH_PATHS[self.path[i]]
+        det_value = float(self.det_value[i])
+        return DetectionReport(
+            verdict=Verdict.ENTANGLED if self.entangled[i] else Verdict.SEPARABLE,
+            path=path,
+            det_scaled=float(self.det_scaled[i]) if path is DecisionPath.GENERAL else None,
+            det_value=det_value,
+            e_estimate=max(0.0, -det_value),
+            weak_values={k: complex(self.weak_values[i, k - 1])
+                         for k in range(1, 17) if self.defined[i, k - 1]},
+        )
+
+
 _SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 
 
-def build_hamiltonian() -> WeakHamiltonian:
+def _conditional_flip() -> np.ndarray:
     """Conditional-flip generator on two copies (qubits 0,1 | 2,3).
 
     Block diagonal over the first copy's basis: the |00> and |01> blocks
@@ -200,18 +218,32 @@ def build_hamiltonian() -> WeakHamiltonian:
     squares to the identity.
     """
     eye2 = np.eye(2, dtype=complex)
-    blocks = {
-        0: np.kron(eye2, _SIGMA_X),
-        1: np.kron(eye2, _SIGMA_X),
-        2: np.kron(_SIGMA_X, eye2),
-        3: np.kron(_SIGMA_X, _SIGMA_X),
-    }
+    blocks = (np.kron(eye2, _SIGMA_X), np.kron(eye2, _SIGMA_X),
+              np.kron(_SIGMA_X, eye2), np.kron(_SIGMA_X, _SIGMA_X))
     h = np.zeros((16, 16), dtype=complex)
-    for i, block in blocks.items():
-        proj = np.zeros((4, 4), dtype=complex)
-        proj[i, i] = 1.0
-        h += np.kron(proj, block)
-    return WeakHamiltonian(h, HamiltonianKind.GENERAL)
+    for i, block in enumerate(blocks):
+        h[4 * i:4 * i + 4, 4 * i:4 * i + 4] = block
+    return h
+
+
+HAMILTONIAN = WeakHamiltonian(_conditional_flip(), HamiltonianKind.GENERAL)
+
+# H is a permutation matrix: row j holds a single 1, in column PERM[j].
+PERM = np.argmax(HAMILTONIAN.matrix.real, axis=1)
+
+# Outcome j = 4a + b (0-based) post-selects |a>|b>; PERM[j] = 4a' + b'. The
+# weak value's numerator rho[a', a] rho[b', b] as positions in the row-major
+# flattened rho, and the outcome's two diagonal factors rho[a, a], rho[b, b].
+_A, _B = np.divmod(np.arange(16), 4)
+_NUMERATOR = (4 * (PERM // 4) + _A, 4 * (PERM % 4) + _B)
+# Outcomes 1, 6, 11, 16 post-select both copies on one basis state: p^2 .. s^2.
+_SQUARE_OUTCOMES = 5 * np.arange(4)
+_INFORMATIVE = np.array(INFORMATIVE_OUTCOMES) - 1
+
+
+def build_hamiltonian() -> WeakHamiltonian:
+    """The conditional-flip generator on two copies (read-only; built once)."""
+    return HAMILTONIAN
 
 
 def build_local_hamiltonian() -> WeakHamiltonian:
@@ -234,8 +266,8 @@ def _check_outcome(k: int) -> None:
 def exact_weak_value(rho: TwoQubitState, hamiltonian, k: int, *, tau_den: float = TAU_DEN) -> complex:
     """<u_k| H (rho x rho) |u_k> / <u_k| rho x rho |u_k> for outcome k.
 
-    Raises NoSignalError when the post-selection probability is below
-    ``tau_den``.
+    Works for any 16x16 generator; raises NoSignalError when the
+    post-selection probability is below ``tau_den``.
     """
     _check_outcome(k)
     h = _hamiltonian_matrix(hamiltonian)
@@ -247,65 +279,80 @@ def exact_weak_value(rho: TwoQubitState, hamiltonian, k: int, *, tau_den: float 
     return num / den
 
 
+def _element_ratios(stack: np.ndarray, tau_diag: float) -> np.ndarray:
+    """(N, 16) ratios read off the matrices through OUTCOME_RATIO_INDEX;
+    NaN where the ratio's diagonal is at or below ``tau_diag``."""
+    rows, cols, diags = np.array([OUTCOME_RATIO_INDEX[k] for k in range(1, 17)]).T
+    den = stack[:, diags, diags].real
+    readable = den > tau_diag
+    return np.where(readable, stack[:, rows, cols] / np.where(readable, den, 1.0), np.nan)
+
+
 def element_ratio(rho: TwoQubitState, k: int, *, tau_diag: float = TAU_DIAG) -> complex:
     """The element ratio outcome k measures, read directly off the matrix."""
     _check_outcome(k)
-    row, col, diag = OUTCOME_RATIO_INDEX[k]
-    den = float(rho.matrix[diag, diag].real)
-    if den <= tau_diag:
-        raise NoSignalError(f"diagonal {diag} is {den:.3e}; ratio for outcome {k} undefined")
-    return complex(rho.matrix[row, col]) / den
+    value = _element_ratios(rho.matrix[None], tau_diag)[0, k - 1]
+    if np.isnan(value):
+        raise NoSignalError(f"diagonal of outcome {k} is at or below {tau_diag:.0e}; "
+                            f"ratio undefined")
+    return complex(value)
 
 
-def _assert_identities(rho: TwoQubitState, values: dict[int, complex]) -> None:
-    """Self-check: each weak value must equal its element ratio, and the
-    redundant outcomes must duplicate their partners."""
-    for k, value in values.items():
-        row, col, diag = OUTCOME_RATIO_INDEX[k]
-        den = float(rho.matrix[diag, diag].real)
-        if den <= TAU_DIAG:
-            continue
-        expected = complex(rho.matrix[row, col]) / den
-        if abs(value - expected) > 1e-9 * (1.0 + abs(expected)):
-            raise OracleMismatchError(
-                f"outcome {k}: weak value {value!r} != element ratio {expected!r}"
-            )
-    for k in REDUNDANT_OUTCOMES:
-        partner = k - 4
-        if k in values and partner in values:
-            if abs(values[k] - values[partner]) > 1e-10 * (1.0 + abs(values[partner])):
-                raise OracleMismatchError(
-                    f"outcome {k} should duplicate outcome {partner}"
-                )
+def _assert_identities(stack: np.ndarray, values: np.ndarray, defined: np.ndarray) -> None:
+    """Self-check: each weak value gathered through PERM must equal the
+    element ratio the outcome table names, and the redundant outcomes must
+    duplicate their partners."""
+    expected = _element_ratios(stack, TAU_DIAG)
+    wrong = defined & (np.abs(values - expected) > 1e-9 * (1.0 + np.abs(expected)))
+    if wrong.any():
+        n, j = np.argwhere(wrong)[0]
+        raise OracleMismatchError(
+            f"state {n}, outcome {j + 1}: weak value {complex(values[n, j])!r} "
+            f"!= element ratio {complex(expected[n, j])!r}"
+        )
+    partner = values[:, :4]
+    duplicated = defined[:, 4:8] & defined[:, :4]
+    wrong = duplicated & (np.abs(values[:, 4:8] - partner) > 1e-10 * (1.0 + np.abs(partner)))
+    if wrong.any():
+        n, j = np.argwhere(wrong)[0]
+        raise OracleMismatchError(f"state {n}: outcome {j + 5} should duplicate outcome {j + 1}")
 
 
-def weak_values_all(
-    rho: TwoQubitState,
-    *,
-    hamiltonian: WeakHamiltonian | None = None,
-    tau_den: float = TAU_DEN,
-    check: bool = True,
-) -> WeakValueSet:
-    """Evaluate the weak value at all 16 outcomes.
+def _probabilities(flat: np.ndarray) -> np.ndarray:
+    """(N, 16) post-selection probabilities rho[a, a] rho[b, b] of (N, 16) flat states."""
+    diagonal = flat[:, ::5].real
+    return diagonal[:, _A] * diagonal[:, _B]
+
+
+def weak_values_batch(
+    stack: np.ndarray, *, tau_den: float = TAU_DEN
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(weak values, post-selection probabilities, defined mask) at all 16
+    outcomes of an (N, 4, 4) stack, each (N, 16), outcome k in column k - 1.
+
+    Outcomes at or below ``tau_den`` are undefined, with weak value 0. A
+    violated identity (see _assert_identities) raises OracleMismatchError.
+    """
+    flat = stack.reshape(-1, 16)
+    probabilities = _probabilities(flat)
+    defined = probabilities > tau_den
+    numerators = flat[:, _NUMERATOR[0]] * flat[:, _NUMERATOR[1]]
+    values = np.where(defined, numerators / np.where(defined, probabilities, 1.0), 0.0)
+    _assert_identities(stack, values, defined)
+    return values, np.maximum(probabilities, 0.0), defined
+
+
+def weak_values_all(rho: TwoQubitState, *, tau_den: float = TAU_DEN) -> WeakValueSet:
+    """Evaluate the weak value at all 16 outcomes of one state.
 
     Outcomes with post-selection probability below ``tau_den`` are left out
-    of ``values``. With ``check`` on (default), the element-ratio identities
-    and the 5-8 redundancy are asserted; a violation raises
-    OracleMismatchError.
+    of ``values``; see :func:`weak_values_batch`.
     """
-    h = hamiltonian if hamiltonian is not None else build_hamiltonian()
-    joint = np.kron(rho.matrix, rho.matrix)
-    numerators = h.matrix @ joint
-    values: dict[int, complex] = {}
-    probabilities: dict[int, float] = {}
-    for k in range(1, 17):
-        den = float(joint[k - 1, k - 1].real)
-        probabilities[k] = max(den, 0.0)
-        if den > tau_den:
-            values[k] = complex(numerators[k - 1, k - 1]) / den
-    if check and h.kind is HamiltonianKind.GENERAL:
-        _assert_identities(rho, values)
-    return WeakValueSet(values, probabilities)
+    values, probabilities, defined = weak_values_batch(rho.matrix[None], tau_den=tau_den)
+    return WeakValueSet(
+        {k: complex(values[0, k - 1]) for k in range(1, 17) if defined[0, k - 1]},
+        {k: float(probabilities[0, k - 1]) for k in range(1, 17)},
+    )
 
 
 def diagonals_from_postselection(rho: TwoQubitState) -> tuple[float, float, float, float]:
@@ -314,11 +361,8 @@ def diagonals_from_postselection(rho: TwoQubitState) -> tuple[float, float, floa
     Outcomes 1, 6, 11, 16 post-select both copies on the same basis state,
     so Pr = p^2, q^2, r^2, s^2.
     """
-    joint = np.kron(rho.matrix, rho.matrix)
-    return tuple(
-        float(np.sqrt(max(joint[i, i].real, 0.0)))
-        for i in (0, 5, 10, 15)
-    )
+    squares = _probabilities(rho.matrix.reshape(1, 16))[0, _SQUARE_OUTCOMES]
+    return tuple(float(d) for d in np.sqrt(np.maximum(squares, 0.0)))
 
 
 def diagonals_from_ratios(wv: WeakValueSet, *, min_ratio: float = 1e-9) -> tuple[float, float, float, float]:
@@ -343,70 +387,141 @@ def diagonals_from_ratios(wv: WeakValueSet, *, min_ratio: float = 1e-9) -> tuple
     return (p, p * q_over_p, p * r_over_p, p * s_over_p)
 
 
-def det_bracket_terms(ratios: RatioSet, diagonal: tuple[float, float, float, float]) -> list[complex]:
-    """The 24 terms of det(rho^TB)/(pqrs), decomposed over the ratio set.
+# The 24 terms of det(rho^TB)/(pqrs) as (sign, factors). Factor k is the
+# ratio outcome k measures and -k its conjugate. Two terms (|x|^2/(ps) and
+# |w|^2/(qr)) are not pure products of the twelve ratios: they carry the
+# diagonal cross-factors qr/(ps) and ps/(qr), which come from the same
+# post-selection statistics as the diagonals themselves. The comment on
+# each line names the term as an element-ratio product.
+_QR_PS, _PS_QR = 17, 18
+_BRACKET_TERMS = (
+    (+1, (1, 2, 3, 4)),          # + u u* z z* / pqrs
+    (-1, (2, -9, -12, 3)),       # - u v y* z* / pqrs
+    (-1, (2, 13, 15, 4)),        # - u w* x z / pqrs
+    (-1, (-2, 9, 12, -3)),       # - u* v* y z / pqrs
+    (-1, (-2, -13, -15, -4)),    # - u* w x* z* / pqrs
+    (+1, (9, 11, 10, 12)),       # + v v* y y* / pqrs
+    (-1, (11, 13, 14, 12)),      # - v w* x* y / pqrs
+    (-1, (-11, -13, -14, -12)),  # - v* w x y* / pqrs
+    (+1, (13, 16, 14, 15)),      # + w w* x x* / pqrs
+    (+1, (2, 11, 13)),           # + u v w* / pqr
+    (+1, (-2, -11, -13)),        # + u* v* w / pqr
+    (+1, (-1, -14, -12)),        # + u x y* / pqs
+    (+1, (1, 14, 12)),           # + u* x* y / pqs
+    (-1, (1, 2)),                # - u u* / pq
+    (+1, (-9, -15, -4)),         # + v x* z* / prs
+    (+1, (9, 15, 4)),            # + v* x z / prs
+    (-1, (9, 11)),               # - v v* / pr
+    (-1, (14, 15, _QR_PS)),      # - x x* / ps
+    (+1, (16, 10, 3)),           # + w y* z* / qrs
+    (+1, (-16, -10, -3)),        # + w* y z / qrs
+    (-1, (13, 16, _PS_QR)),      # - w w* / qr
+    (-1, (10, 12)),              # - y y* / qs
+    (-1, (3, 4)),                # - z z* / rs
+    (+1, ()),                    # + 1
+)
+_TERM_SIGNS = np.array([sign for sign, _ in _BRACKET_TERMS], dtype=float)
+# Columns into [1, ratios 1..16, qr/(ps), ps/(qr), conj ratios 1..16];
+# missing factors are 1 (column 0).
+_TERM_FACTORS = np.array([(*factors, 0, 0, 0, 0)[:4] for _, factors in _BRACKET_TERMS])
+_TERM_FACTORS = np.where(_TERM_FACTORS >= 0, _TERM_FACTORS, _PS_QR - _TERM_FACTORS)
 
-    Fixed decomposition table; the comment on each line names the term as an
-    element-ratio product so the sum can be audited term by term. Two terms
-    (|x|^2/(ps) and |w|^2/(qr)) are not pure products of the twelve ratios:
-    they carry the diagonal cross-factors qr/(ps) and ps/(qr), which come
-    from the same post-selection statistics as the diagonals themselves.
-    """
-    r1 = ratios.ustar_over_p
-    r2 = ratios.u_over_q
-    r3 = ratios.zstar_over_r
-    r4 = ratios.z_over_s
-    r9 = ratios.vstar_over_p
-    r10 = ratios.ystar_over_q
-    r11 = ratios.v_over_r
-    r12 = ratios.y_over_s
-    r13 = ratios.wstar_over_p
-    r14 = ratios.xstar_over_q
-    r15 = ratios.x_over_r
-    r16 = ratios.w_over_s
-    p, q, r, s = diagonal
-    c = np.conj
-    return [
-        +r1 * r2 * r3 * r4,                       # + u u* z z* / pqrs
-        -r2 * c(r9) * c(r12) * r3,                # - u v y* z* / pqrs
-        -r2 * r13 * r15 * r4,                     # - u w* x z / pqrs
-        -c(r2) * r9 * r12 * c(r3),                # - u* v* y z / pqrs
-        -c(r2) * c(r13) * c(r15) * c(r4),         # - u* w x* z* / pqrs
-        +r9 * r11 * r10 * r12,                    # + v v* y y* / pqrs
-        -r11 * r13 * r14 * r12,                   # - v w* x* y / pqrs
-        -c(r11) * c(r13) * c(r14) * c(r12),       # - v* w x y* / pqrs
-        +r13 * r16 * r14 * r15,                   # + w w* x x* / pqrs
-        +r2 * r11 * r13,                          # + u v w* / pqr
-        +c(r2) * c(r11) * c(r13),                 # + u* v* w / pqr
-        +c(r1) * c(r14) * c(r12),                 # + u x y* / pqs
-        +r1 * r14 * r12,                          # + u* x* y / pqs
-        -r1 * r2,                                 # - u u* / pq
-        +c(r9) * c(r15) * c(r4),                  # + v x* z* / prs
-        +r9 * r15 * r4,                           # + v* x z / prs
-        -r9 * r11,                                # - v v* / pr
-        -r14 * r15 * (q * r) / (p * s),           # - x x* / ps
-        +r16 * r10 * r3,                          # + w y* z* / qrs
-        +c(r16) * c(r10) * c(r3),                 # + w* y z / qrs
-        -r13 * r16 * (p * s) / (q * r),           # - w w* / qr
-        -r10 * r12,                               # - y y* / qs
-        -r3 * r4,                                 # - z z* / rs
-        1.0 + 0.0j,
-    ]
+
+def _bracket_terms(ratios: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """(N, 24) bracket terms from (N, 16) ratios and (N, 4) diagonals."""
+    p, q, r, s = diagonal.T
+    factors = np.concatenate([
+        np.ones((len(ratios), 1)), ratios,
+        ((q * r) / (p * s))[:, None], ((p * s) / (q * r))[:, None], ratios.conj(),
+    ], axis=1)
+    terms = _TERM_SIGNS * factors[:, _TERM_FACTORS[:, 0]]
+    for column in _TERM_FACTORS[:, 1:].T:
+        terms *= factors[:, column]
+    return terms
+
+
+def _bracket(ratios: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
+    """(N,) det(rho^TB)/(pqrs) (real part; the residue is roundoff)."""
+    return _bracket_terms(ratios, diagonal).sum(axis=1).real
+
+
+def det_bracket_terms(ratios: RatioSet, diagonal: tuple[float, float, float, float]) -> list[complex]:
+    """The 24 terms of det(rho^TB)/(pqrs), decomposed over the ratio set
+    (table ``_BRACKET_TERMS``)."""
+    terms = _bracket_terms(ratios.values[None], np.array([diagonal], dtype=float))
+    return [complex(t) for t in terms[0]]
 
 
 def det_bracket(ratios: RatioSet, diagonal: tuple[float, float, float, float]) -> float:
     """det(rho^TB)/(pqrs) from the ratio set (real; residue is roundoff)."""
-    total = sum(det_bracket_terms(ratios, diagonal))
-    return float(total.real)
+    return float(_bracket(ratios.values[None], np.array([diagonal], dtype=float))[0])
 
 
-def _probe(rho: TwoQubitState, wv: WeakValueSet, k: int) -> complex:
-    """Weak value at k, falling back to the direct element ratio when the
-    outcome carries no signal (reachable only when another diagonal is
-    exactly zero, e.g. the s=0 sub-case of the first degenerate branch)."""
-    if k in wv.values:
-        return wv.values[k]
-    return element_ratio(rho, k)
+def detect_batch(
+    stack: np.ndarray,
+    *,
+    tau_det: float = TAU_DET,
+    tau_diag: float = TAU_DIAG,
+    tau_wv: float = TAU_WV,
+) -> BatchReport:
+    """Decide entangled/separable for every state of an (N, 4, 4) stack
+    from weak values and post-selection data.
+
+    Decision tree, per state:
+
+    * p or s vanishes (CaseI): the determinant collapses to -|x|^2 qr, so
+      the verdict is Separable when q or r also vanishes, else follows the
+      outcome-14 probe x*/q.
+    * q or r vanishes (CaseII): the determinant collapses to -|w|^2 ps and
+      the outcome-16 probe w/s decides.
+    * otherwise (General): assemble the scaled determinant bracket from the
+      twelve ratios; entangled iff bracket < -tau_det/(pqrs).
+
+    A probe whose outcome carries no signal is read off the matrix, which
+    is reachable only when another diagonal is exactly zero (e.g. the s=0
+    sub-case of CaseI). On the General path, diagonals in (tau_diag, ~1e-6)
+    give probabilities below TAU_DEN; all twelve ratios are then read off
+    the matrix.
+    """
+    values, probabilities, defined = weak_values_batch(stack)
+    diagonal = np.sqrt(probabilities[:, _SQUARE_OUTCOMES])
+    p, q, r, s = diagonal.T
+    small = diagonal < tau_diag
+    case_i = small[:, 0] | small[:, 3]
+    q_or_r = small[:, 1] | small[:, 2]
+    general = ~(case_i | q_or_r)
+
+    matrix = _element_ratios(stack, TAU_DIAG)
+    probe = np.where(defined, values, matrix)
+    x_over_q = np.abs(probe[:, 13])  # outcome 14: x*/q
+    w_over_s = np.abs(probe[:, 15])  # outcome 16: w/s
+    det_value = np.where(
+        case_i,
+        np.where(q_or_r, 0.0, -((x_over_q * q) ** 2) * q * r),
+        -((w_over_s * s) ** 2) * p * s,
+    )
+    entangled = np.where(case_i, ~q_or_r & (x_over_q > tau_wv), w_over_s > tau_wv)
+
+    silent = ~defined[general][:, _INFORMATIVE].all(axis=1)
+    ratios = np.where(silent[:, None], matrix[general], values[general])
+    bracket = _bracket(ratios, diagonal[general])
+    pqrs = diagonal[general].prod(axis=1)
+    det_scaled = np.full(len(diagonal), np.nan)
+    det_scaled[general] = bracket
+    det_value[general] = bracket * pqrs
+    entangled[general] = bracket < -(tau_det / pqrs)
+    if np.isnan(det_value).any():
+        raise NoSignalError("a ratio the decision needs has no signal and its "
+                            f"diagonal is at or below {TAU_DIAG:.0e}")
+    return BatchReport(
+        weak_values=values,
+        defined=defined,
+        diagonal=diagonal,
+        path=np.where(general, 0, np.where(case_i, 1, 2)),
+        entangled=entangled,
+        det_scaled=det_scaled,
+        det_value=det_value,
+    )
 
 
 def detect(
@@ -416,74 +531,60 @@ def detect(
     tau_diag: float = TAU_DIAG,
     tau_wv: float = TAU_WV,
 ) -> DetectionReport:
-    """Decide entangled/separable from weak values and post-selection data.
+    """Decide entangled/separable from weak values and post-selection data
+    (one state; see :func:`detect_batch` for the decision tree)."""
+    batch = detect_batch(rho.matrix[None], tau_det=tau_det, tau_diag=tau_diag, tau_wv=tau_wv)
+    return batch.report(0)
 
-    Decision tree:
 
-    * p or s vanishes (CaseI): the determinant collapses to -|x|^2 qr, so
-      the verdict is Separable when q or r also vanishes, else follows the
-      outcome-14 probe x*/q.
-    * q or r vanishes (CaseII): the determinant collapses to -|w|^2 ps and
-      the outcome-16 probe w/s decides.
-    * otherwise (General): assemble the scaled determinant bracket from the
-      twelve ratios; entangled iff bracket < -tau_det/(pqrs).
+# Off-diagonal (i, j), i < j: the primary outcome measures rho[i, j] / d and
+# the fallback outcome rho[j, i] / d', as (column, diagonal index) pairs.
+def _measuring(row: int, col: int) -> tuple[int, int]:
+    k = next(k for k in INFORMATIVE_OUTCOMES if OUTCOME_RATIO_INDEX[k][:2] == (row, col))
+    return k - 1, OUTCOME_RATIO_INDEX[k][2]
+
+
+_UPPER = np.triu_indices(4, 1)
+_PRIMARY = np.array([_measuring(i, j) for i, j in zip(*_UPPER)]).T
+_FALLBACK = np.array([_measuring(j, i) for i, j in zip(*_UPPER)]).T
+
+
+def reconstruct_batch(
+    values: np.ndarray,
+    defined: np.ndarray,
+    diagonal: np.ndarray,
+    *,
+    positivity_tol: float = 1e-6,
+) -> np.ndarray:
+    """Rebuild (N, 4, 4) density matrices from weak values and their defined
+    mask (N, 16) and measured diagonals (N, 4).
+
+    Off-diagonals come from ratio * diagonal, falling back to the conjugate
+    partner outcome and finally to 0 when neither outcome carried signal.
+    The diagonal is renormalized to sum exactly 1 and the result is
+    validated (positivity within ``positivity_tol``; a failure signals
+    inconsistent input data). Returns the validated stack.
     """
-    hamiltonian = build_hamiltonian()
-    wv = weak_values_all(rho, hamiltonian=hamiltonian)
-    p, q, r, s = diagonals_from_postselection(rho)
-    det_scaled: float | None = None
-    if p < tau_diag or s < tau_diag:
-        path = DecisionPath.CASE_I
-        if q < tau_diag or r < tau_diag:
-            verdict = Verdict.SEPARABLE
-            det_value = 0.0
-        else:
-            probe = _probe(rho, wv, 14)  # x*/q
-            verdict = Verdict.ENTANGLED if abs(probe) > tau_wv else Verdict.SEPARABLE
-            x_abs = abs(probe) * q
-            det_value = -(x_abs**2) * q * r
-    elif q < tau_diag or r < tau_diag:
-        path = DecisionPath.CASE_II
-        probe = _probe(rho, wv, 16)  # w/s
-        verdict = Verdict.ENTANGLED if abs(probe) > tau_wv else Verdict.SEPARABLE
-        w_abs = abs(probe) * s
-        det_value = -(w_abs**2) * p * s
-    else:
-        path = DecisionPath.GENERAL
-        try:
-            ratios = RatioSet.from_weak_values(wv)
-        except NoSignalError:
-            # Diagonals in (tau_diag, ~1e-6) give probabilities below
-            # TAU_DEN; exact simulation can still read the ratios off the
-            # matrix.
-            ratios = RatioSet.from_state(rho)
-        pqrs = p * q * r * s
-        det_scaled = det_bracket(ratios, (p, q, r, s))
-        verdict = (
-            Verdict.ENTANGLED if det_scaled < -(tau_det / pqrs) else Verdict.SEPARABLE
-        )
-        det_value = det_scaled * pqrs
-    return DetectionReport(
-        verdict=verdict,
-        path=path,
-        det_scaled=det_scaled,
-        det_value=det_value,
-        e_estimate=max(0.0, -det_value),
-        weak_values=dict(wv.values),
+    diagonal = np.asarray(diagonal, dtype=float)
+    negative = (diagonal < 0).any(axis=1)
+    if negative.any():
+        raise ValueError(f"diagonals must be non-negative, got {diagonal[negative][0]}")
+    total = diagonal.sum(axis=1)
+    off = np.abs(total - 1.0) > 1e-6
+    if off.any():
+        raise ValueError(f"diagonals sum to {total[off][0]!r}, expected 1 within 1e-6")
+    diagonal = diagonal / total[:, None]
+    (k1, d1), (k2, d2) = _PRIMARY, _FALLBACK
+    upper = np.where(
+        defined[:, k1],
+        values[:, k1] * diagonal[:, d1],
+        np.where(defined[:, k2], values[:, k2].conj() * diagonal[:, d2], 0.0),
     )
-
-
-# (element, primary outcome with its diagonal, fallback outcome with its
-# diagonal). Primary recovers the element as ratio * diagonal; the fallback
-# uses the conjugate partner ratio.
-_RECOVERY_PLAN = (
-    ("u", (0, 1), 2, 1, 1, 0),  # u = (u/q) q   or conj(u*/p) p
-    ("v", (0, 2), 11, 2, 9, 0),  # v = (v/r) r  or conj(v*/p) p
-    ("w", (0, 3), 16, 3, 13, 0),  # w = (w/s) s or conj(w*/p) p
-    ("x", (1, 2), 15, 2, 14, 1),  # x = (x/r) r or conj(x*/q) q
-    ("y", (1, 3), 12, 3, 10, 1),  # y = (y/s) s or conj(y*/q) q
-    ("z", (2, 3), 4, 3, 3, 2),  # z = (z/s) s   or conj(z*/r) r
-)
+    m = np.zeros((len(diagonal), 4, 4), dtype=complex)
+    m[:, _UPPER[0], _UPPER[1]] = upper
+    m[:, _UPPER[1], _UPPER[0]] = upper.conj()
+    m[:, np.arange(4), np.arange(4)] = diagonal
+    return validate_batch(m, positivity_tol=positivity_tol)
 
 
 def reconstruct(
@@ -492,34 +593,12 @@ def reconstruct(
     *,
     positivity_tol: float = 1e-6,
 ) -> TwoQubitState:
-    """Rebuild the density matrix from weak values and measured diagonals.
-
-    Off-diagonals come from ratio * diagonal, falling back to the conjugate
-    partner outcome and finally to 0 when neither outcome carried signal.
-    The diagonal is renormalized to sum exactly 1 and the result is
-    validated (positivity within ``positivity_tol``; a failure signals
-    inconsistent input data).
-    """
-    diag = [float(d) for d in diagonal]
-    if any(d < 0 for d in diag):
-        raise ValueError(f"diagonals must be non-negative, got {diag}")
-    total = sum(diag)
-    if abs(total - 1.0) > 1e-6:
-        raise ValueError(f"diagonals sum to {total!r}, expected 1 within 1e-6")
-    diag = [d / total for d in diag]
-    m = np.zeros((4, 4), dtype=complex)
-    for i in range(4):
-        m[i, i] = diag[i]
-    for _, (row, col), k_primary, d_primary, k_fallback, d_fallback in _RECOVERY_PLAN:
-        if k_primary in wv.values:
-            value = wv.values[k_primary] * diag[d_primary]
-        elif k_fallback in wv.values:
-            value = np.conj(wv.values[k_fallback]) * diag[d_fallback]
-        else:
-            value = 0.0j
-        m[row, col] = value
-        m[col, row] = np.conj(value)
-    return validate(m, positivity_tol=positivity_tol)
+    """Rebuild the density matrix from weak values and measured diagonals
+    (one state; see :func:`reconstruct_batch`)."""
+    values, defined = wv.arrays()
+    rebuilt = reconstruct_batch(values[None], defined[None], np.array([diagonal], dtype=float),
+                                positivity_tol=positivity_tol)
+    return TwoQubitState(rebuilt[0])
 
 
 def detect_pure_local(

@@ -154,28 +154,50 @@ def validate(m, *, positivity_tol: float = VALIDATION_ATOL) -> TwoQubitState:
     may sit (reconstruction from noisy data uses a looser value).
     """
     try:
-        arr = qmat.as_matrix(m)
+        stack = np.asarray(m, dtype=complex)[None]
     except ValueError as exc:
         raise StateValidationError(str(exc)) from exc
-    if arr.shape != (4, 4):
-        raise StateValidationError(f"expected a 4x4 matrix, got {arr.shape}")
-    dev = float(np.max(np.abs(arr - arr.conj().T)))
-    if dev > VALIDATION_ATOL:
-        raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
-    trace = complex(np.trace(arr))
-    if abs(trace - 1.0) > VALIDATION_ATOL:
-        raise TraceError(f"trace is {trace!r}, expected 1")
-    sym = (arr + arr.conj().T) / 2
-    smallest = float(np.linalg.eigvalsh(sym)[0])
-    if smallest < -positivity_tol:
-        raise PositivityError(f"smallest eigenvalue {smallest:.3e} below -{positivity_tol:.0e}")
-    return TwoQubitState(sym)
+    return TwoQubitState(validate_batch(stack, positivity_tol=positivity_tol)[0])
+
+
+def validate_batch(stack, *, positivity_tol: float = VALIDATION_ATOL) -> np.ndarray:
+    """:func:`validate` for an (N, 4, 4) stack: finite entries, Hermiticity,
+    unit trace and positivity, checked for every state.
+
+    Returns the symmetrized stack; the first failed check raises.
+    """
+    arr = np.asarray(stack, dtype=complex)
+    if arr.ndim != 3 or arr.shape[1:] != (4, 4):
+        raise StateValidationError(f"expected 4x4 matrices, got shape {arr.shape}")
+    if not np.isfinite(arr).all():
+        raise StateValidationError("matrix entries must be finite (no NaN/Inf)")
+    adjoint = arr.conj().swapaxes(1, 2)
+    dev = np.abs(arr - adjoint).max(axis=(1, 2), initial=0.0)
+    if (dev > VALIDATION_ATOL).any():
+        raise HermiticityError(f"matrix deviates from Hermitian by {dev.max():.3e}")
+    trace = np.trace(arr, axis1=1, axis2=2)
+    off = np.abs(trace - 1.0) > VALIDATION_ATOL
+    if off.any():
+        raise TraceError(f"trace is {complex(trace[off][0])!r}, expected 1")
+    sym = (arr + adjoint) / 2
+    smallest = np.linalg.eigvalsh(sym)[:, 0]
+    low = smallest < -positivity_tol
+    if low.any():
+        raise PositivityError(
+            f"smallest eigenvalue {smallest[low][0]:.3e} below -{positivity_tol:.0e}"
+        )
+    return sym
+
+
+def _partial_transpose(m: np.ndarray) -> np.ndarray:
+    """Transpose the second qubit's indices of (..., 4, 4) matrices:
+    (ik),(jl) -> (il),(jk)."""
+    return m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-1, -3).reshape(m.shape)
 
 
 def partial_transpose_b(rho: TwoQubitState) -> np.ndarray:
     """Transpose the second qubit's indices: (ik),(jl) -> (il),(jk)."""
-    m = rho.matrix
-    return m.reshape(2, 2, 2, 2).transpose(0, 3, 2, 1).reshape(4, 4).copy()
+    return _partial_transpose(rho.matrix)
 
 
 def det_ptb(rho: TwoQubitState) -> float:
@@ -228,10 +250,16 @@ def det_ptb_expansion(rho: TwoQubitState, *, tau_diag: float = 1e-10) -> float:
     return float((p * q * r * s * bracket).real)
 
 
+def ppt_entangled(stack: np.ndarray, *, tau: float = TAU_DET) -> np.ndarray:
+    """Ground-truth verdicts (True = entangled) for an (N, 4, 4) stack of
+    states, from the smallest partial-transpose eigenvalue."""
+    return np.linalg.eigvalsh(_partial_transpose(stack))[:, 0] < -tau
+
+
 def ppt_oracle(rho: TwoQubitState, *, tau: float = TAU_DET) -> Verdict:
     """Ground-truth verdict from the partial-transpose spectrum."""
-    smallest = float(qmat.hermitian_eigenvalues(partial_transpose_b(rho))[0])
-    return Verdict.ENTANGLED if smallest < -tau else Verdict.SEPARABLE
+    entangled = ppt_entangled(rho.matrix[None], tau=tau)[0]
+    return Verdict.ENTANGLED if entangled else Verdict.SEPARABLE
 
 
 def negativity(rho: TwoQubitState) -> float:
@@ -244,9 +272,14 @@ def entanglement_estimate(rho: TwoQubitState) -> float:
     return max(0.0, -det_ptb(rho))
 
 
+def trace_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Trace norms of a - b for two (N, 4, 4) stacks of Hermitian matrices."""
+    return np.abs(np.linalg.eigvalsh(a - b)).sum(axis=1)
+
+
 def trace_distance(rho: TwoQubitState, other: TwoQubitState) -> float:
     """Trace norm of the difference of the two density matrices."""
-    return qmat.trace_norm(rho.matrix - other.matrix)
+    return float(trace_distance_batch(rho.matrix[None], other.matrix[None])[0])
 
 
 def _as_generator(seed) -> np.random.Generator:
@@ -255,15 +288,21 @@ def _as_generator(seed) -> np.random.Generator:
     return np.random.default_rng(seed)
 
 
+def random_mixed_batch(rng: np.random.Generator, n: int) -> np.ndarray:
+    """(n, 4, 4) validated stack of full-rank random states; draws the same
+    stream as n calls of :func:`random_mixed` on ``rng``."""
+    g = rng.standard_normal((n, 2, 4, 4))
+    g = g[:, 0] + 1j * g[:, 1]
+    a = g @ g.conj().swapaxes(1, 2)
+    return validate_batch(a / np.trace(a, axis1=1, axis2=2).real[:, None, None])
+
+
 def random_mixed(seed) -> TwoQubitState:
     """Full-rank random state G G^dag / tr(G G^dag), G complex Gaussian.
 
     ``seed`` may be an int or a numpy Generator (drawn from, for streams).
     """
-    rng = _as_generator(seed)
-    g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-    a = g @ g.conj().T
-    return validate(a / np.trace(a).real)
+    return TwoQubitState(random_mixed_batch(_as_generator(seed), 1)[0])
 
 
 def random_pure(seed) -> PureAmplitudes:

@@ -154,6 +154,9 @@ class TestRobustness:
         assert doc["bound"] == pytest.approx(0.64)
         assert doc["violations"] == 0
 
+    def test_negative_trials_exit_1(self, capsys, werner_file):
+        assert main(["robustness", "--input", werner_file, "--trials", "-3"]) == 1
+
     def test_rank_deficient_exits_2(self, capsys, bell_file):
         code, _ = run_main(capsys, ["robustness", "--input", bell_file, "--trials", "5"])
         assert code == 2
@@ -167,6 +170,47 @@ class TestBenchmark:
         assert doc["mismatches"] == 0
         assert doc["agreement_rate"] == 1.0
         assert doc["reconstruction"]["max_trace_distance"] <= 1e-8
+
+    @pytest.mark.parametrize("seed, entangled, separable", [
+        (0, 756, 244), (1, 754, 246), (2, 760, 240), (3, 760, 240), (4, 745, 255), (7, 768, 232),
+    ])
+    def test_pinned_agreement_tables(self, capsys, seed, entangled, separable):
+        code, out = run_main(capsys, ["benchmark", "--seed", str(seed)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["agreement"] == {
+            "entangled_entangled": entangled,
+            "separable_separable": separable,
+            "entangled_separable": 0,
+            "separable_entangled": 0,
+        }
+        assert doc["mismatches"] == 0
+        assert doc["paths"] == {"General": 1000, "CaseI": 0, "CaseII": 0}
+
+    def test_chunking_leaves_document_unchanged(self, capsys, monkeypatch):
+        argv = ["benchmark", "--trials", "25", "--seed", "7"]
+        _, whole = run_main(capsys, argv)
+        monkeypatch.setattr(cli, "BENCHMARK_CHUNK", 7)
+        _, chunked = run_main(capsys, argv)
+        assert chunked == whole
+
+    def test_zero_trials(self, capsys):
+        code, out = run_main(capsys, ["benchmark", "--trials", "0"])
+        assert code == 0
+        assert json.loads(out) == {
+            "command": "benchmark",
+            "trials": 0,
+            "seed": 0,
+            "agreement": dict.fromkeys(("entangled_entangled", "entangled_separable",
+                                        "separable_entangled", "separable_separable"), 0),
+            "mismatches": 0,
+            "agreement_rate": 1.0,
+            "paths": {"General": 0, "CaseI": 0, "CaseII": 0},
+            "reconstruction": {"max_trace_distance": 0.0, "mean_trace_distance": 0.0},
+        }
+
+    def test_negative_trials_exit_1(self, capsys):
+        assert main(["benchmark", "--trials", "-5"]) == 1
 
     def test_text_format_is_rendering_of_json(self, capsys):
         code, out = run_main(

@@ -8,22 +8,27 @@ from weakdetect.protocol import (
     NoSignalError,
     OracleMismatchError,
     RatioSet,
+    TAU_DEN,
     TAU_DIAG,
+    TAU_WV,
     WeakValueSet,
     build_hamiltonian,
     build_local_hamiltonian,
     det_bracket,
     det_bracket_terms,
     detect,
+    detect_batch,
     detect_pure_local,
     diagonals_from_postselection,
     diagonals_from_ratios,
     element_ratio,
     exact_weak_value,
     reconstruct,
+    reconstruct_batch,
     weak_values_all,
 )
 from weakdetect.states import (
+    TAU_DET,
     PositivityError,
     PureAmplitudes,
     Verdict,
@@ -33,6 +38,7 @@ from weakdetect.states import (
     random_pure,
     trace_distance,
     validate,
+    validate_batch,
     werner,
 )
 
@@ -53,6 +59,40 @@ RATIO_ORACLE = {
     15: lambda m: m[1, 2] / m[2, 2].real,
     16: lambda m: m[0, 3] / m[3, 3].real,
 }
+
+
+def element_terms(m):
+    """The 24 terms of det(rho^TB)/(pqrs) as element expressions."""
+    p, q, r, s = np.diag(m).real
+    u, v, w = m[0, 1], m[0, 2], m[0, 3]
+    x, y, z = m[1, 2], m[1, 3], m[2, 3]
+    c = np.conj
+    return [
+        +u * c(u) * z * c(z) / (p * q * r * s),
+        -u * v * c(y) * c(z) / (p * q * r * s),
+        -u * c(w) * x * z / (p * q * r * s),
+        -c(u) * c(v) * y * z / (p * q * r * s),
+        -c(u) * w * c(x) * c(z) / (p * q * r * s),
+        +v * c(v) * y * c(y) / (p * q * r * s),
+        -v * c(w) * c(x) * y / (p * q * r * s),
+        -c(v) * w * x * c(y) / (p * q * r * s),
+        +w * c(w) * x * c(x) / (p * q * r * s),
+        +u * v * c(w) / (p * q * r),
+        +c(u) * c(v) * w / (p * q * r),
+        +u * x * c(y) / (p * q * s),
+        +c(u) * c(x) * y / (p * q * s),
+        -u * c(u) / (p * q),
+        +v * c(x) * c(z) / (p * r * s),
+        +c(v) * x * z / (p * r * s),
+        -v * c(v) / (p * r),
+        -x * c(x) / (p * s),
+        +w * c(y) * c(z) / (q * r * s),
+        +c(w) * y * z / (q * r * s),
+        -w * c(w) / (q * r),
+        -y * c(y) / (q * s),
+        -z * c(z) / (r * s),
+        1.0,
+    ]
 
 
 def basis_state(i):
@@ -134,6 +174,16 @@ class TestWeakValuesAll:
         wv = weak_values_all(random_mixed(seed))
         for k in (5, 6, 7, 8):
             assert abs(wv.values[k] - wv.values[k - 4]) <= 1e-12
+
+    @given(seeds)
+    def test_gather_matches_definition(self, seed):
+        # <u_k| H (rho x rho) |u_k> / <u_k| rho x rho |u_k> through the full
+        # two-copy matrices
+        rho = random_mixed(seed)
+        wv = weak_values_all(rho)
+        for k in range(1, 17):
+            want = exact_weak_value(rho, build_hamiltonian(), k)
+            assert abs(wv.values[k] - want) <= 1e-12 * (1 + abs(want))
 
     def test_maximally_mixed_all_zero(self, maximally_mixed):
         wv = weak_values_all(maximally_mixed)
@@ -219,38 +269,8 @@ class TestDetBracket:
     def test_term_table_audit(self):
         """Each documented term must equal its direct element expression."""
         rho = random_mixed(99)
-        m = rho.matrix
-        p, q, r, s = rho.diagonal()
-        u, v, w = m[0, 1], m[0, 2], m[0, 3]
-        x, y, z = m[1, 2], m[1, 3], m[2, 3]
-        c = np.conj
-        expected = [
-            +u * c(u) * z * c(z) / (p * q * r * s),
-            -u * v * c(y) * c(z) / (p * q * r * s),
-            -u * c(w) * x * z / (p * q * r * s),
-            -c(u) * c(v) * y * z / (p * q * r * s),
-            -c(u) * w * c(x) * c(z) / (p * q * r * s),
-            +v * c(v) * y * c(y) / (p * q * r * s),
-            -v * c(w) * c(x) * y / (p * q * r * s),
-            -c(v) * w * x * c(y) / (p * q * r * s),
-            +w * c(w) * x * c(x) / (p * q * r * s),
-            +u * v * c(w) / (p * q * r),
-            +c(u) * c(v) * w / (p * q * r),
-            +u * x * c(y) / (p * q * s),
-            +c(u) * c(x) * y / (p * q * s),
-            -u * c(u) / (p * q),
-            +v * c(x) * c(z) / (p * r * s),
-            +c(v) * x * z / (p * r * s),
-            -v * c(v) / (p * r),
-            -x * c(x) / (p * s),
-            +w * c(y) * c(z) / (q * r * s),
-            +c(w) * y * z / (q * r * s),
-            -w * c(w) / (q * r),
-            -y * c(y) / (q * s),
-            -z * c(z) / (r * s),
-            1.0,
-        ]
         terms = det_bracket_terms(RatioSet.from_state(rho), rho.diagonal())
+        expected = element_terms(rho.matrix)
         assert len(terms) == 24
         for got, want in zip(terms, expected):
             assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
@@ -334,6 +354,83 @@ class TestDetect:
         assert doc["verdict"] == "Entangled"
         assert doc["path"] == "CaseII"
         assert doc["weak_values"]["16"] == [1.0, 0.0]
+
+
+def reference_decision(m):
+    """(path, entangled, det(rho^TB), roundoff scale of det) from element
+    ratios read off the matrix, by the decision tree of ``detect``."""
+    p, q, r, s = np.diag(m).real
+    if p < TAU_DIAG or s < TAU_DIAG:
+        if q < TAU_DIAG or r < TAU_DIAG:
+            return DecisionPath.CASE_I, False, 0.0, 0.0
+        x_over_q = abs(m[1, 2]) / q
+        return DecisionPath.CASE_I, x_over_q > TAU_WV, -((x_over_q * q) ** 2) * q * r, 0.0
+    if q < TAU_DIAG or r < TAU_DIAG:
+        w_over_s = abs(m[0, 3]) / s
+        return DecisionPath.CASE_II, w_over_s > TAU_WV, -((w_over_s * s) ** 2) * p * s, 0.0
+    terms = element_terms(m)
+    pqrs = p * q * r * s
+    bracket = sum(terms).real
+    return (DecisionPath.GENERAL, bracket < -TAU_DET / pqrs, bracket * pqrs,
+            pqrs * sum(abs(t) for t in terms))
+
+
+def mixed_stack(seed):
+    """Ginibre, near-threshold Werner, Bell, basis, zero-diagonal,
+    rank-deficient and diagonal states in one (N, 4, 4) stack."""
+    rng = np.random.default_rng(seed)
+    h = 1 / np.sqrt(2)
+
+    def haar():
+        v = rng.standard_normal(4) + 1j * rng.standard_normal(4)
+        return v / np.linalg.norm(v)
+
+    mats = [random_mixed(rng).matrix for _ in range(4)]
+    mats += [werner(1 / 3 + d).matrix for d in (1e-6, -1e-6, 1e-3, -1e-3)]
+    for bell_vector in ((h, 0, 0, h), (h, 0, 0, -h), (0, h, h, 0), (0, h, -h, 0)):
+        mats.append(np.outer(bell_vector, bell_vector).astype(complex))
+    mats += [basis_state(i).matrix for i in range(4)]
+    for a, b in ((1, 2), (0, 3)):  # CaseI (p = s = 0), CaseII (q = r = 0)
+        g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        block = g @ g.conj().T
+        m = np.zeros((4, 4), dtype=complex)
+        m[np.ix_((a, b), (a, b))] = block / np.trace(block).real
+        mats.append(m)
+    for i in range(4):  # one vanishing diagonal: CaseI for p or s, CaseII for q or r
+        v = haar()
+        v[i] = 0
+        mats.append(np.outer(v, v.conj()) / np.vdot(v, v).real)
+    first, second = haar(), haar()
+    mats.append(0.3 * np.outer(first, first.conj()) + 0.7 * np.outer(second, second.conj()))
+    for t in (1e-2, 1e-4, 1e-6):
+        mats.append((1 - t) * np.outer(first, first.conj()) + t * random_mixed(rng).matrix)
+    mats += [np.diag(rng.dirichlet(np.ones(4))).astype(complex) for _ in range(2)]
+    mats.append(np.diag([0.5, 0.0, 0.25, 0.25]).astype(complex))
+    return validate_batch(np.array(mats))
+
+
+class TestDetectBatch:
+    @given(seeds)
+    def test_matches_element_reference(self, seed):
+        stack = mixed_stack(seed)
+        batch = detect_batch(stack)
+        for i, m in enumerate(stack):
+            path, entangled, det, scale = reference_decision(m)
+            report = batch.report(i)
+            assert report.path is path
+            assert (report.verdict is Verdict.ENTANGLED) == entangled
+            d = np.diag(m).real
+            assert set(report.weak_values) == {
+                k for k in range(1, 17) if d[(k - 1) // 4] * d[(k - 1) % 4] > TAU_DEN
+            }
+            # relative to |det|, or to the roundoff scale pqrs * sum |terms|
+            # of the 24-term sum where that is larger (near-singular mixes)
+            assert abs(report.det_value - det) <= 1e-12 * max(abs(det), scale)
+        diagonal = [i for i, m in enumerate(stack) if not np.any(m - np.diag(np.diag(m)))]
+        rebuilt = reconstruct_batch(batch.weak_values[diagonal], batch.defined[diagonal],
+                                    batch.diagonal[diagonal])
+        assert len(rebuilt) == 7  # basis and diagonal states
+        assert np.all(rebuilt - rebuilt * np.eye(4) == 0)
 
 
 class TestReconstruct:
