@@ -8,7 +8,7 @@ Usage:  python scripts/pointer_convergence.py --seed 11 --steps 6
 import argparse
 
 from weakdetect.pointer import default_config, estimate_weak_values
-from weakdetect.protocol import build_hamiltonian, weak_values_all
+from weakdetect.protocol import weak_values_all
 from weakdetect.states import random_mixed
 
 
@@ -22,13 +22,12 @@ def main() -> None:
 
     rho = random_mixed(args.seed)
     exact = weak_values_all(rho)
-    hamiltonian = build_hamiltonian()
 
     print(f"{'epsilon':>12}  {'max |est - exact|':>18}  {'ratio to previous':>18}")
     previous = None
     eps = args.epsilon
     for _ in range(args.steps):
-        readouts = estimate_weak_values(rho, default_config(eps), hamiltonian=hamiltonian)
+        readouts = estimate_weak_values(rho, default_config(eps))
         err = max(abs(r.estimate - exact.values[r.k]) for r in readouts)
         ratio = f"{previous / err:18.3f}" if previous else f"{'-':>18}"
         print(f"{eps:12.2e}  {err:18.3e}  {ratio}")

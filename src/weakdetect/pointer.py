@@ -8,11 +8,24 @@ shifts encode the real and imaginary parts of the weak value:
     Re A = (  <x>_post - <x>_in) / epsilon
     Im A = (  <p>_post - <p>_in) / (2 epsilon Var_in(p)),  Var_in(p) = 1/(4 sigma^2)
 
-The evolution is exact, not first order: the system mixture is split into
-its eigen-ensemble (at most 16 pure branches), each branch is expanded in
-the +/-1 eigenspaces of H, and the pointer is translated by +/-epsilon
-spectrally (multiplication by exp(-i epsilon p) in the Fourier domain, which
-is exact for waves with negligible boundary tails). hbar = 1 throughout.
+The evolution is exact, not first order, and needs no state decomposition.
+H squares to the identity, so the coupling translates the pointer by
++epsilon on H's +1 eigenspace and by -epsilon on its -1 eigenspace. A system
+branch psi post-selected on outcome k = j + 1 leaves the pointer
+psi[j] phi_s + psi[pi(j)] phi_d, where phi_s and phi_d are half the sum and
+half the difference of the two translated Gaussians and pi = PERM. Over
+the mixed two-copy state J = rho x rho the post-selected pointer is
+therefore the 2x2 mixture
+
+    P |phi_s><phi_s| + N* |phi_s><phi_d| + N |phi_d><phi_s| + Q |phi_d><phi_d|,
+
+with P = J[j, j], N = J[pi(j), j] and Q = J[pi(j), pi(j)] gathered from
+rho. Each moment sum is the contraction of these four coefficients with
+the overlaps <phi_b|O|phi_a> for O = 1, x, x^2, p, p^2, a table built once
+per (grid, sigma, epsilon). The translation is spectral (multiplication by
+exp(-i epsilon p) in the Fourier domain, exact for waves with negligible
+boundary tails) and momentum moments are sums over the FFT grid.
+hbar = 1 throughout.
 """
 
 from __future__ import annotations
@@ -21,7 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import NoSignalError, TAU_DEN, WeakHamiltonian, build_hamiltonian
+from .protocol import PERM, TAU_DEN, joint_entries
 from .states import TwoQubitState
 
 
@@ -66,28 +79,6 @@ class PointerWave:
             raise ValueError(f"wave norm is {norm!r}, expected 1")
         self.amplitudes.setflags(write=False)
 
-    def mean_position(self) -> float:
-        density = np.abs(self.amplitudes) ** 2 * self.grid.dx
-        return float(np.sum(self.grid.positions * density))
-
-    def position_variance(self) -> float:
-        density = np.abs(self.amplitudes) ** 2 * self.grid.dx
-        mean = float(np.sum(self.grid.positions * density))
-        return float(np.sum((self.grid.positions - mean) ** 2 * density))
-
-    def _momentum_density(self) -> np.ndarray:
-        transform = np.fft.fft(self.amplitudes)
-        dp = 2.0 * np.pi / (self.grid.n * self.grid.dx)
-        return np.abs(transform) ** 2 * (self.grid.dx**2 / (2.0 * np.pi)) * dp
-
-    def mean_momentum(self) -> float:
-        return float(np.sum(self.grid.momenta * self._momentum_density()))
-
-    def momentum_variance(self) -> float:
-        density = self._momentum_density()
-        mean = float(np.sum(self.grid.momenta * density))
-        return float(np.sum((self.grid.momenta - mean) ** 2 * density))
-
 
 @dataclass(frozen=True)
 class SimConfig:
@@ -107,16 +98,6 @@ class SimConfig:
             raise ValueError(f"epsilon must be in [0, 0.1], got {self.epsilon}")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
-
-
-@dataclass(frozen=True)
-class PointerMoments:
-    """First and second moments of the (generally mixed) post-selected pointer."""
-
-    mean_x: float
-    mean_p: float
-    var_x: float
-    var_p: float
 
 
 @dataclass(frozen=True)
@@ -153,144 +134,77 @@ def translate(wave: PointerWave, delta: float) -> PointerWave:
     return PointerWave(wave.grid, shifted)
 
 
-def _ensemble(joint: np.ndarray, cutoff: float = 1e-14) -> list[tuple[float, np.ndarray]]:
-    """Eigen-ensemble of the two-copy density matrix, largest weight first."""
-    weights, vectors = np.linalg.eigh((joint + joint.conj().T) / 2)
-    branches = [
-        (float(weights[i]), vectors[:, i])
-        for i in range(len(weights) - 1, -1, -1)
-        if weights[i] > cutoff
-    ]
-    return branches
+def pointer_overlaps(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
+    """Overlaps of the post-selected pointer's basis, and the input pointer's moments.
 
-
-def _evolve_sums(
-    rho: TwoQubitState,
-    hamiltonian: WeakHamiltonian,
-    cfg: SimConfig,
-    k: int,
-) -> tuple[float, float, float, float, float]:
-    """Post-selection probability and unnormalized pointer moment sums."""
-    if not 1 <= k <= 16:
-        raise ValueError(f"outcome index must be in 1..16, got {k}")
-    h = hamiltonian.matrix
-    joint = np.kron(rho.matrix, rho.matrix)
-    branches = _ensemble(joint)
-    phi_in = gaussian_pointer(cfg.sigma, cfg.grid)
-    phi_plus = translate(phi_in, +cfg.epsilon)
-    phi_minus = translate(phi_in, -cfg.epsilon)
-
-    grid = cfg.grid
-    x = grid.positions
-    p = grid.momenta
-    dp = 2.0 * np.pi / (grid.n * grid.dx)
-    momentum_weight = grid.dx**2 / (2.0 * np.pi) * dp
-
-    prob = 0.0
-    sum_x = sum_x2 = sum_p = sum_p2 = 0.0
-    idx = k - 1
-    for weight, psi in branches:
-        flipped = h @ psi
-        a_plus = 0.5 * (psi[idx] + flipped[idx])
-        a_minus = 0.5 * (psi[idx] - flipped[idx])
-        chi = a_plus * phi_plus.amplitudes + a_minus * phi_minus.amplitudes
-        density = np.abs(chi) ** 2 * grid.dx
-        prob += weight * float(np.sum(density))
-        sum_x += weight * float(np.sum(x * density))
-        sum_x2 += weight * float(np.sum(x**2 * density))
-        momentum_density = np.abs(np.fft.fft(chi)) ** 2 * momentum_weight
-        sum_p += weight * float(np.sum(p * momentum_density))
-        sum_p2 += weight * float(np.sum(p**2 * momentum_density))
-    return prob, sum_x, sum_x2, sum_p, sum_p2
-
-
-def evolve_and_postselect(
-    rho: TwoQubitState,
-    hamiltonian: WeakHamiltonian,
-    cfg: SimConfig,
-    k: int,
-    *,
-    tau_den: float = TAU_DEN,
-) -> tuple[float, PointerMoments]:
-    """Exact coupled evolution followed by post-selection on outcome k.
-
-    Returns the total post-selection probability and the moments of the
-    post-selected pointer mixture. Raises NoSignalError when the
-    probability falls below ``tau_den``.
+    Returns the (2, 2, 5) table <phi_b|O|phi_a> for phi_a, phi_b in
+    (phi_s, phi_d) (see the module docstring) and O = 1, x, x^2, p, p^2, and
+    the (5,) row <phi|O|phi> of the input Gaussian itself. Momentum terms are
+    sums over the FFT grid.
     """
-    prob, sum_x, sum_x2, sum_p, sum_p2 = _evolve_sums(rho, hamiltonian, cfg, k)
-    if prob < tau_den:
-        raise NoSignalError(f"outcome {k} has post-selection probability {prob:.3e}")
-    mean_x = sum_x / prob
-    mean_p = sum_p / prob
-    moments = PointerMoments(
-        mean_x=mean_x,
-        mean_p=mean_p,
-        var_x=sum_x2 / prob - mean_x**2,
-        var_p=sum_p2 / prob - mean_p**2,
-    )
-    return prob, moments
+    grid = cfg.grid
+    phi_in = gaussian_pointer(cfg.sigma, grid)
+    plus = translate(phi_in, +cfg.epsilon).amplitudes
+    minus = translate(phi_in, -cfg.epsilon).amplitudes
+    waves = np.stack([(plus + minus) / 2, (plus - minus) / 2, phi_in.amplitudes])
+    x, p = grid.positions, grid.momenta
+    position = np.einsum("bj,mj,aj->abm", waves.conj(),
+                         np.stack([np.ones_like(x), x, x**2]) * grid.dx, waves)
+    spectra = np.fft.fft(waves, axis=1)
+    dp = 2.0 * np.pi / (grid.n * grid.dx)
+    momentum = np.einsum("bj,mj,aj->abm", spectra.conj(),
+                         np.stack([p, p**2]) * (grid.dx**2 / (2.0 * np.pi) * dp), spectra)
+    table = np.concatenate([position, momentum], axis=2)
+    return table[:2, :2], table[2, 2].real
+
+
+def moment_table(rho: TwoQubitState, overlaps: np.ndarray) -> np.ndarray:
+    """(16, 5) moment sums of the unnormalised post-selected pointer, outcome
+    k in row k - 1. The columns are the post-selection probability,
+    sum x, sum x^2, sum p and sum p^2.
+
+    ``overlaps`` is the first table of :func:`pointer_overlaps`. Every row,
+    silent outcomes included, contracts it with the 2x2 coefficients of the
+    module docstring.
+    """
+    flipped, probabilities = joint_entries(rho.matrix[None])
+    p, n = probabilities[0], flipped[0]
+    coefficients = np.array([[p, n.conj()], [n, p[PERM]]])
+    return np.einsum("abk,abm->km", coefficients, overlaps).real
 
 
 def readout_weak_value(
-    phi_in: PointerWave,
-    post: PointerMoments,
+    sums: np.ndarray,
+    reference: np.ndarray,
     epsilon: float,
     sigma: float,
-) -> complex:
-    """Complex weak value from the post-selected pointer's moment shifts."""
+) -> np.ndarray:
+    """Complex weak values from rows (..., 5) of the moment table: the mean
+    position and momentum shifts of the post-selected pointer from the input
+    pointer's moments ``reference`` (see :func:`pointer_overlaps`)."""
     if not epsilon > 0:
         raise ValueError("readout needs epsilon > 0")
     var_p_in = 1.0 / (4.0 * sigma**2)
-    real = (post.mean_x - phi_in.mean_position()) / epsilon
-    imag = (post.mean_p - phi_in.mean_momentum()) / (2.0 * epsilon * var_p_in)
-    return complex(real, imag)
+    real = (sums[..., 1] / sums[..., 0] - reference[1]) / epsilon
+    imag = (sums[..., 3] / sums[..., 0] - reference[3]) / (2.0 * epsilon * var_p_in)
+    return real + 1j * imag
 
 
-def estimate_weak_values(
-    rho: TwoQubitState,
-    cfg: SimConfig,
-    *,
-    hamiltonian: WeakHamiltonian | None = None,
-) -> list[WeakReadout]:
+def estimate_weak_values(rho: TwoQubitState, cfg: SimConfig) -> list[WeakReadout]:
     """Pointer-simulated weak values for every outcome that carries signal.
 
     Outcomes are screened on the pre-interaction probability
     <u_k| rho x rho |u_k> (the "no signal before coupling" check), since
     silent outcomes pick up O(epsilon^2) probability from the exact
-    evolution without carrying a weak value.
+    evolution without carrying a weak value. An outcome whose
+    post-selection probability is below TAU_DEN is left out as well.
     """
-    h = hamiltonian if hamiltonian is not None else build_hamiltonian()
-    phi_in = gaussian_pointer(cfg.sigma, cfg.grid)
-    joint = np.kron(rho.matrix, rho.matrix)
-    readouts: list[WeakReadout] = []
-    for k in range(1, 17):
-        if float(joint[k - 1, k - 1].real) <= TAU_DEN:
-            continue
-        try:
-            prob, post = evolve_and_postselect(rho, h, cfg, k)
-        except NoSignalError:  # pragma: no cover - screened above
-            continue
-        estimate = readout_weak_value(phi_in, post, cfg.epsilon, cfg.sigma)
-        readouts.append(
-            WeakReadout(k=k, estimate=estimate, postselect_prob=min(max(prob, 0.0), 1.0))
-        )
-    return readouts
-
-
-def postselection_probability(
-    rho: TwoQubitState,
-    hamiltonian: WeakHamiltonian,
-    cfg: SimConfig,
-    k: int,
-) -> float:
-    """Post-selection probability alone (defined even for silent outcomes)."""
-    return _evolve_sums(rho, hamiltonian, cfg, k)[0]
-
-
-def dump_wave_csv(wave: PointerWave, path) -> None:
-    """Write the wave as CSV rows (x, re, im) for external plotting."""
-    with open(path, "w", encoding="utf-8") as handle:
-        handle.write("x,re,im\n")
-        for xj, aj in zip(wave.grid.positions, wave.amplitudes):
-            handle.write(f"{float(xj)!r},{float(aj.real)!r},{float(aj.imag)!r}\n")
+    overlaps, reference = pointer_overlaps(cfg)
+    sums = moment_table(rho, overlaps)
+    signal = (joint_entries(rho.matrix[None])[1][0] > TAU_DEN) & (sums[:, 0] >= TAU_DEN)
+    estimates = readout_weak_value(sums[signal], reference, cfg.epsilon, cfg.sigma)
+    probabilities = np.clip(sums[signal, 0], 0.0, 1.0)
+    return [
+        WeakReadout(k=int(k), estimate=complex(estimate), postselect_prob=float(prob))
+        for k, estimate, prob in zip(np.flatnonzero(signal) + 1, estimates, probabilities)
+    ]

@@ -231,11 +231,12 @@ HAMILTONIAN = WeakHamiltonian(_conditional_flip(), HamiltonianKind.GENERAL)
 # H is a permutation matrix: row j holds a single 1, in column PERM[j].
 PERM = np.argmax(HAMILTONIAN.matrix.real, axis=1)
 
-# Outcome j = 4a + b (0-based) post-selects |a>|b>; PERM[j] = 4a' + b'. The
-# weak value's numerator rho[a', a] rho[b', b] as positions in the row-major
-# flattened rho, and the outcome's two diagonal factors rho[a, a], rho[b, b].
+# The single-qubit flip of build_local_hamiltonian() acts on the last qubit,
+# so it maps outcome index j to j ^ 1.
+_LOCAL_PERM = np.arange(16) ^ 1
+
+# Outcome j = 4a + b (0-based) post-selects |a>|b>.
 _A, _B = np.divmod(np.arange(16), 4)
-_NUMERATOR = (4 * (PERM // 4) + _A, 4 * (PERM % 4) + _B)
 # Outcomes 1, 6, 11, 16 post-select both copies on one basis state: p^2 .. s^2.
 _SQUARE_OUTCOMES = 5 * np.arange(4)
 _INFORMATIVE = np.array(INFORMATIVE_OUTCOMES) - 1
@@ -318,10 +319,18 @@ def _assert_identities(stack: np.ndarray, values: np.ndarray, defined: np.ndarra
         raise OracleMismatchError(f"state {n}: outcome {j + 5} should duplicate outcome {j + 1}")
 
 
-def _probabilities(flat: np.ndarray) -> np.ndarray:
-    """(N, 16) post-selection probabilities rho[a, a] rho[b, b] of (N, 16) flat states."""
+def joint_entries(stack: np.ndarray, perm: np.ndarray = PERM) -> tuple[np.ndarray, np.ndarray]:
+    """(J[perm[j], j], J[j, j]) of the two-copy matrix J = rho x rho for every
+    state of an (N, 4, 4) stack, each (N, 16), outcome k in column k - 1.
+
+    With j = 4a + b and perm[j] = 4a' + b' these are the gathers
+    rho[a', a] rho[b', b] and rho[a, a] rho[b, b]; J is never formed. The
+    second is the post-selection probability (real).
+    """
+    flat = stack.reshape(-1, 16)
     diagonal = flat[:, ::5].real
-    return diagonal[:, _A] * diagonal[:, _B]
+    flipped = flat[:, 4 * (perm // 4) + _A] * flat[:, 4 * (perm % 4) + _B]
+    return flipped, diagonal[:, _A] * diagonal[:, _B]
 
 
 def weak_values_batch(
@@ -333,10 +342,8 @@ def weak_values_batch(
     Outcomes at or below ``tau_den`` are undefined, with weak value 0. A
     violated identity (see _assert_identities) raises OracleMismatchError.
     """
-    flat = stack.reshape(-1, 16)
-    probabilities = _probabilities(flat)
+    numerators, probabilities = joint_entries(stack)
     defined = probabilities > tau_den
-    numerators = flat[:, _NUMERATOR[0]] * flat[:, _NUMERATOR[1]]
     values = np.where(defined, numerators / np.where(defined, probabilities, 1.0), 0.0)
     _assert_identities(stack, values, defined)
     return values, np.maximum(probabilities, 0.0), defined
@@ -361,30 +368,8 @@ def diagonals_from_postselection(rho: TwoQubitState) -> tuple[float, float, floa
     Outcomes 1, 6, 11, 16 post-select both copies on the same basis state,
     so Pr = p^2, q^2, r^2, s^2.
     """
-    squares = _probabilities(rho.matrix.reshape(1, 16))[0, _SQUARE_OUTCOMES]
+    squares = joint_entries(rho.matrix[None])[1][0, _SQUARE_OUTCOMES]
     return tuple(float(d) for d in np.sqrt(np.maximum(squares, 0.0)))
-
-
-def diagonals_from_ratios(wv: WeakValueSet, *, min_ratio: float = 1e-9) -> tuple[float, float, float, float]:
-    """Solve the diagonal from ratio quotients plus p+q+r+s = 1.
-
-    Consistency check for full-rank states: q/p, r/p, s/p follow from the
-    quotients of conjugate ratio pairs (u, v and w chains). Singular when
-    any of those off-diagonals vanishes, which is why detection and
-    reconstruction source diagonals from post-selection probabilities
-    instead.
-    """
-    needed = (1, 2, 9, 11, 13, 16)
-    if any(k not in wv.values for k in needed):
-        raise ValueError("ratio-chain solve needs outcomes 1, 2, 9, 11, 13, 16")
-    for k in (2, 11, 16):
-        if abs(wv.values[k]) <= min_ratio:
-            raise ValueError(f"ratio chain singular: |weak value {k}| ~ 0")
-    q_over_p = (wv.values[1] / np.conj(wv.values[2])).real
-    r_over_p = (wv.values[9] / np.conj(wv.values[11])).real
-    s_over_p = (wv.values[13] / np.conj(wv.values[16])).real
-    p = 1.0 / (1.0 + q_over_p + r_over_p + s_over_p)
-    return (p, p * q_over_p, p * r_over_p, p * s_over_p)
 
 
 # The 24 terms of det(rho^TB)/(pqrs) as (sign, factors). Factor k is the
@@ -610,25 +595,25 @@ def detect_pure_local(
     """Pure-state detection with the locally-implementable interaction.
 
     The state a|00> + b|01> + c|10> + d|11> is separable iff ad - bc = 0.
-    When some |amplitude|^2 vanishes, the vanishing entries decide
-    |ad - bc| outright. Otherwise the single-qubit-flip interaction yields
-    the weak values u/q and z/s at outcomes 2 and 4 (i.e. a/b and c/d), and
-    their equality is the separability test.
+    When some |amplitude|^2 vanishes, or outcome 2 or 4 carries no signal,
+    |ad - bc| decides outright. Otherwise the single-qubit-flip interaction
+    yields the weak values u/q and z/s at outcomes 2 and 4 (i.e. a/b and
+    c/d), gathered through the flip's permutation j -> j ^ 1, and their
+    equality is the separability test.
     """
     a, b, c, d = psi.a, psi.b, psi.c, psi.d
     discriminant = a * d - b * c
     det_value = 0.0 - abs(discriminant) ** 4  # avoids -0.0 for product states
     diag = (abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2)
     weak_values: dict[int, complex] = {}
-    if min(diag) < tau_diag:
-        entangled = abs(discriminant) > tau_wv
-    else:
-        rho = psi.to_state()
-        local = build_local_hamiltonian()
-        wv2 = exact_weak_value(rho, local, 2)
-        wv4 = exact_weak_value(rho, local, 4)
-        weak_values = {2: wv2, 4: wv4}
-        entangled = abs(wv2 - wv4) > tau_wv
+    entangled = abs(discriminant) > tau_wv
+    if min(diag) >= tau_diag:
+        numerators, probabilities = joint_entries(psi.to_state().matrix[None], _LOCAL_PERM)
+        numerators, probabilities = numerators[0, [1, 3]], probabilities[0, [1, 3]]
+        if (probabilities > TAU_DEN).all():
+            wv2, wv4 = (complex(v) for v in numerators / probabilities)
+            weak_values = {2: wv2, 4: wv4}
+            entangled = abs(wv2 - wv4) > tau_wv
     return DetectionReport(
         verdict=Verdict.ENTANGLED if entangled else Verdict.SEPARABLE,
         path=DecisionPath.PURE_LOCAL,

@@ -6,26 +6,59 @@ from weakdetect.pointer import (
     PointerGrid,
     PointerWave,
     SimConfig,
-    _ensemble,
     default_config,
     default_grid,
-    dump_wave_csv,
     estimate_weak_values,
-    evolve_and_postselect,
     gaussian_pointer,
-    postselection_probability,
+    moment_table,
+    pointer_overlaps,
     readout_weak_value,
     translate,
 )
-from weakdetect.protocol import NoSignalError, build_hamiltonian, weak_values_all
-from weakdetect.states import bell_phi_plus, random_mixed, validate, werner
+from weakdetect.protocol import TAU_DEN, build_hamiltonian, weak_values_all
+from weakdetect.states import bell_phi_plus, random_mixed, random_pure, validate, werner
 
 seeds = st.integers(0, 10**6)
 
 
-@pytest.fixture(scope="module")
-def hamiltonian():
-    return build_hamiltonian()
+def table(rho, cfg):
+    return moment_table(rho, pointer_overlaps(cfg)[0])
+
+
+def _ensemble(joint, cutoff=1e-14):
+    """Eigen-ensemble of the two-copy density matrix, largest weight first."""
+    weights, vectors = np.linalg.eigh((joint + joint.conj().T) / 2)
+    return [(float(weights[i]), vectors[:, i])
+            for i in range(len(weights) - 1, -1, -1) if weights[i] > cutoff]
+
+
+def ensemble_moment_table(rho, cfg):
+    """Reference for moment_table: evolve each branch of the eigen-ensemble
+    of rho x rho with the pointer, post-select, and sum the branches' moments
+    on the grid, with one FFT per branch and outcome."""
+    h = build_hamiltonian().matrix
+    branches = _ensemble(np.kron(rho.matrix, rho.matrix))
+    phi_in = gaussian_pointer(cfg.sigma, cfg.grid)
+    phi_plus = translate(phi_in, +cfg.epsilon).amplitudes
+    phi_minus = translate(phi_in, -cfg.epsilon).amplitudes
+    grid = cfg.grid
+    x, p = grid.positions, grid.momenta
+    dp = 2.0 * np.pi / (grid.n * grid.dx)
+    momentum_weight = grid.dx**2 / (2.0 * np.pi) * dp
+    sums = np.zeros((16, 5))
+    for idx in range(16):
+        for weight, psi in branches:
+            flipped = h @ psi
+            a_plus = 0.5 * (psi[idx] + flipped[idx])
+            a_minus = 0.5 * (psi[idx] - flipped[idx])
+            chi = a_plus * phi_plus + a_minus * phi_minus
+            density = np.abs(chi) ** 2 * grid.dx
+            momentum_density = np.abs(np.fft.fft(chi)) ** 2 * momentum_weight
+            sums[idx] += weight * np.array([
+                np.sum(density), np.sum(x * density), np.sum(x**2 * density),
+                np.sum(p * momentum_density), np.sum(p**2 * momentum_density),
+            ])
+    return sums
 
 
 class TestGrid:
@@ -42,22 +75,33 @@ class TestGrid:
             PointerGrid(n=500, half_extent=16.0)
 
 
+def input_moments(sigma):
+    """(mean x, var x, mean p, var p) of the input Gaussian, from the
+    reference row of pointer_overlaps."""
+    _, (_, x, x2, p, p2) = pointer_overlaps(default_config(0.0, sigma))
+    return x, x2 - x**2, p, p2 - p**2
+
+
+def position_moments(wave):
+    density = np.abs(wave.amplitudes) ** 2 * wave.grid.dx
+    mean = np.sum(wave.grid.positions * density)
+    return mean, np.sum((wave.grid.positions - mean) ** 2 * density)
+
+
 class TestGaussianPointer:
     def test_moments(self):
-        wave = gaussian_pointer(1.0, default_grid())
-        assert wave.mean_position() == pytest.approx(0.0, abs=1e-10)
-        assert wave.position_variance() == pytest.approx(1.0, abs=1e-8)
-        assert wave.momentum_variance() == pytest.approx(0.25, abs=1e-6)
+        mean_x, var_x, _, var_p = input_moments(1.0)
+        assert mean_x == pytest.approx(0.0, abs=1e-10)
+        assert var_x == pytest.approx(1.0, abs=1e-8)
+        assert var_p == pytest.approx(0.25, abs=1e-6)
 
     def test_minimum_uncertainty(self):
-        wave = gaussian_pointer(1.0, default_grid())
-        product = wave.position_variance() * wave.momentum_variance()
-        assert product == pytest.approx(0.25, abs=1e-6)
+        _, var_x, _, var_p = input_moments(1.0)
+        assert var_x * var_p == pytest.approx(0.25, abs=1e-6)
 
     def test_doubling_sigma_quarters_momentum_variance(self):
-        grid = default_grid()
-        v1 = gaussian_pointer(1.0, grid).momentum_variance()
-        v2 = gaussian_pointer(2.0, grid).momentum_variance()
+        v1 = input_moments(1.0)[3]
+        v2 = input_moments(2.0)[3]
         assert v2 == pytest.approx(v1 / 4, rel=1e-6)
 
     def test_grid_too_small(self):
@@ -71,14 +115,14 @@ class TestTranslate:
     def test_shifts_mean_exactly(self, delta):
         wave = gaussian_pointer(1.0, default_grid())
         shifted = translate(wave, delta)
-        assert shifted.mean_position() - wave.mean_position() == pytest.approx(
+        assert position_moments(shifted)[0] - position_moments(wave)[0] == pytest.approx(
             delta, abs=1e-10
         )
 
     def test_preserves_norm_and_shape(self):
         wave = gaussian_pointer(1.0, default_grid())
         shifted = translate(wave, 0.7)
-        assert shifted.position_variance() == pytest.approx(1.0, abs=1e-8)
+        assert position_moments(shifted)[1] == pytest.approx(1.0, abs=1e-8)
 
 
 class TestSimConfig:
@@ -95,29 +139,23 @@ class TestSimConfig:
 
 
 class TestEvolveAndPostselect:
-    def test_zero_coupling_probabilities_exact(self, hamiltonian):
+    def test_zero_coupling_probabilities_exact(self):
         rho = random_mixed(21)
-        cfg = default_config(0.0)
         joint = np.kron(rho.matrix, rho.matrix)
-        for k in range(1, 17):
-            prob = postselection_probability(rho, hamiltonian, cfg, k)
-            assert abs(prob - joint[k - 1, k - 1].real) <= 1e-12
+        probabilities = table(rho, default_config(0.0))[:, 0]
+        assert (np.abs(probabilities - np.diag(joint).real) <= 1e-12).all()
 
-    def test_zero_coupling_pointer_unchanged(self, hamiltonian):
-        rho = random_mixed(22)
-        cfg = default_config(0.0)
-        _, moments = evolve_and_postselect(rho, hamiltonian, cfg, 16)
-        assert moments.mean_x == pytest.approx(0.0, abs=1e-12)
-        assert moments.var_x == pytest.approx(1.0, abs=1e-8)
+    def test_zero_coupling_pointer_unchanged(self):
+        prob, sum_x, sum_x2, _, _ = table(random_mixed(22), default_config(0.0))[15]
+        assert sum_x / prob == pytest.approx(0.0, abs=1e-12)
+        assert sum_x2 / prob - (sum_x / prob) ** 2 == pytest.approx(1.0, abs=1e-8)
 
-    def test_bell_k16_first_order_shift(self, hamiltonian):
+    def test_bell_k16_first_order_shift(self):
         # exact weak value w/s = 1: the whole wave translates by epsilon
-        bell = bell_phi_plus()
-        cfg = default_config(1e-3)
-        prob, moments = evolve_and_postselect(bell, hamiltonian, cfg, 16)
+        prob, sum_x, _, sum_p, _ = table(bell_phi_plus(), default_config(1e-3))[15]
         assert prob == pytest.approx(0.25, abs=1e-12)
-        assert moments.mean_x == pytest.approx(1e-3, abs=1e-12)
-        assert moments.mean_p == pytest.approx(0.0, abs=1e-12)
+        assert sum_x / prob == pytest.approx(1e-3, abs=1e-12)
+        assert sum_p / prob == pytest.approx(0.0, abs=1e-12)
 
     def test_pure_state_single_branch(self):
         bell = bell_phi_plus()
@@ -125,53 +163,57 @@ class TestEvolveAndPostselect:
         assert len(branches) == 1
         assert branches[0][0] == pytest.approx(1.0, abs=1e-12)
 
-    def test_no_signal(self, hamiltonian):
-        with pytest.raises(NoSignalError):
-            evolve_and_postselect(bell_phi_plus(), hamiltonian, default_config(1e-3), 6)
+    def test_no_signal(self):
+        cfg = default_config(1e-3)
+        assert table(bell_phi_plus(), cfg)[5, 0] < TAU_DEN
+        assert 6 not in {r.k for r in estimate_weak_values(bell_phi_plus(), cfg)}
 
-    def test_total_probability_unity(self, hamiltonian):
+    def test_total_probability_unity(self):
         rho = random_mixed(23)
         for eps in (0.0, 1e-3, 0.05):
-            cfg = default_config(eps)
-            total = sum(
-                postselection_probability(rho, hamiltonian, cfg, k)
-                for k in range(1, 17)
-            )
+            total = table(rho, default_config(eps))[:, 0].sum()
             assert total == pytest.approx(1.0, abs=1e-10)
+
+    @pytest.mark.parametrize("grid_n", [4096, 16384])
+    @pytest.mark.parametrize("eps", [0.0, 5e-4, 1e-3, 4e-3, 0.05])
+    def test_matches_ensemble_oracle(self, grid_n, eps):
+        cfg = SimConfig(epsilon=eps, sigma=1.0, grid=PointerGrid(n=grid_n, half_extent=40.0))
+        states = (random_mixed(31), werner(0.37), random_pure(32).to_state(), bell_phi_plus())
+        for rho in states:
+            want = ensemble_moment_table(rho, cfg)
+            scale = np.maximum(np.abs(want).max(axis=1, keepdims=True), TAU_DEN)
+            assert (np.abs(table(rho, cfg) - want) <= 1e-12 * scale).all()
 
 
 class TestReadout:
-    def test_bell_real_weak_value(self, hamiltonian):
-        bell = bell_phi_plus()
+    def test_bell_real_weak_value(self):
         cfg = default_config(1e-3)
-        phi_in = gaussian_pointer(cfg.sigma, cfg.grid)
-        _, moments = evolve_and_postselect(bell, hamiltonian, cfg, 16)
-        estimate = readout_weak_value(phi_in, moments, cfg.epsilon, cfg.sigma)
+        overlaps, reference = pointer_overlaps(cfg)
+        row = moment_table(bell_phi_plus(), overlaps)[15]
+        estimate = readout_weak_value(row, reference, cfg.epsilon, cfg.sigma)
         assert estimate.real == pytest.approx(1.0, abs=1e-6)
         # real weak value: momentum shift vanishes to O(eps^2)
         assert abs(estimate.imag) <= 10 * cfg.epsilon**2
 
-    def test_imaginary_weak_value(self, hamiltonian):
+    def test_imaginary_weak_value(self):
         # (|00> + i|11>)/sqrt(2): w = a d* = -i/2, s = 1/2, so w/s = -i
         psi = np.array([1, 0, 0, 1j], dtype=complex) / np.sqrt(2)
         rho = validate(np.outer(psi, psi.conj()))
         cfg = default_config(1e-3)
-        phi_in = gaussian_pointer(cfg.sigma, cfg.grid)
-        _, moments = evolve_and_postselect(rho, hamiltonian, cfg, 16)
+        overlaps, reference = pointer_overlaps(cfg)
+        row = moment_table(rho, overlaps)[15]
         var_p = 1.0 / (4 * cfg.sigma**2)
-        assert moments.mean_p == pytest.approx(-2 * cfg.epsilon * var_p, rel=1e-4)
-        estimate = readout_weak_value(phi_in, moments, cfg.epsilon, cfg.sigma)
+        assert row[3] / row[0] == pytest.approx(-2 * cfg.epsilon * var_p, rel=1e-4)
+        estimate = readout_weak_value(row, reference, cfg.epsilon, cfg.sigma)
         assert estimate.imag == pytest.approx(-1.0, abs=1e-5)
         assert abs(estimate.real) <= 1e-6
 
     def test_requires_positive_epsilon(self):
         cfg = default_config(1e-3)
-        phi_in = gaussian_pointer(cfg.sigma, cfg.grid)
-        _, moments = evolve_and_postselect(
-            bell_phi_plus(), build_hamiltonian(), cfg, 16
-        )
+        overlaps, reference = pointer_overlaps(cfg)
+        row = moment_table(bell_phi_plus(), overlaps)[15]
         with pytest.raises(ValueError):
-            readout_weak_value(phi_in, moments, 0.0, cfg.sigma)
+            readout_weak_value(row, reference, 0.0, cfg.sigma)
 
 
 class TestEstimateWeakValues:
@@ -210,19 +252,6 @@ class TestEstimateWeakValues:
 
         ratio = max_err(1e-3) / max_err(5e-4)
         assert 1.7 <= ratio <= 4.3
-
-
-def test_wave_csv_dump(tmp_path):
-    wave = gaussian_pointer(1.0, PointerGrid(n=256, half_extent=12.0))
-    path = tmp_path / "wave.csv"
-    dump_wave_csv(wave, path)
-    lines = path.read_text().splitlines()
-    assert lines[0] == "x,re,im"
-    assert len(lines) == 257
-    x, re, im = (float(v) for v in lines[1].split(","))
-    assert x == -12.0
-    assert re == pytest.approx(abs(wave.amplitudes[0]))
-    assert im == 0.0
 
 
 def test_pointer_wave_rejects_unnormalized():

@@ -20,7 +20,6 @@ from weakdetect.protocol import (
     detect_batch,
     detect_pure_local,
     diagonals_from_postselection,
-    diagonals_from_ratios,
     element_ratio,
     exact_weak_value,
     reconstruct,
@@ -231,20 +230,6 @@ class TestDiagonalsFromPostselection:
         np.testing.assert_allclose(
             diagonals_from_postselection(rho), rho.diagonal(), atol=1e-12
         )
-
-
-class TestDiagonalsFromRatios:
-    @given(seeds)
-    def test_agrees_with_postselection(self, seed):
-        rho = random_mixed(seed)
-        wv = weak_values_all(rho)
-        chain = diagonals_from_ratios(wv)
-        np.testing.assert_allclose(chain, diagonals_from_postselection(rho), atol=1e-8)
-
-    def test_singular_for_diagonal_states(self, maximally_mixed):
-        wv = weak_values_all(maximally_mixed)
-        with pytest.raises(ValueError):
-            diagonals_from_ratios(wv)
 
 
 class TestDetBracket:
@@ -523,6 +508,23 @@ class TestDetectPureLocal:
     def test_matches_ppt_on_pure_states(self, seed):
         psi = random_pure(seed)
         assert detect_pure_local(psi).verdict is ppt_oracle(psi.to_state())
+
+    @given(seeds)
+    def test_gather_matches_local_hamiltonian(self, seed):
+        psi = random_pure(seed)
+        report = detect_pure_local(psi)
+        local = build_local_hamiltonian()
+        for k in (2, 4):
+            want = exact_weak_value(psi.to_state(), local, k)
+            assert abs(report.weak_values[k] - want) <= 1e-12 * (1 + abs(want))
+
+    def test_silent_probe_outcome_decides_by_amplitudes(self):
+        # p q = 1e-12 leaves outcome 2 without signal although every
+        # |amplitude|^2 is above TAU_DIAG; |ad - bc| = 2e-4
+        d = np.sqrt(1 - 2e-6 - 0.36)
+        report = detect_pure_local(PureAmplitudes(1e-3, 1e-3, 0.6, d))
+        assert report.verdict is Verdict.ENTANGLED
+        assert report.weak_values == {}
 
 
 def test_element_ratio_no_signal(bell):
