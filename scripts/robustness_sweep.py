@@ -6,6 +6,7 @@ Usage:  python scripts/robustness_sweep.py --trials 100 --seed 0 > sweep.csv
 """
 
 import argparse
+import sys
 
 from weakdetect.robustness import bound_check
 from weakdetect.states import random_mixed, werner
@@ -20,10 +21,13 @@ def main() -> None:
     args = parser.parse_args()
 
     rho = werner(0.5) if args.state_seed is None else random_mixed(args.state_seed)
+    try:
+        reports = [bound_check(rho, 10.0**-exponent, trials=args.trials, seed=args.seed)
+                   for exponent in range(4, 0, -1)]
+    except ValueError as exc:
+        sys.exit(f"{parser.prog}: error: {exc}")
     print("delta,k,worst_deviation,bound")
-    for exponent in range(4, 0, -1):
-        delta = 10.0**-exponent
-        report = bound_check(rho, delta, trials=args.trials, seed=args.seed)
+    for report in reports:
         for delta_value, k, deviation, bound in report.csv_rows():
             print(f"{delta_value!r},{k},{deviation!r},{bound!r}")
 

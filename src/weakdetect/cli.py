@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -47,7 +48,7 @@ class _Parser(argparse.ArgumentParser):
     # code is 1.
     def error(self, message):
         self.print_usage(sys.stderr)
-        self.exit(EXIT_IO, f"{self.prog}: error: {message}\n")
+        self.exit(EXIT_IO, f"weakdetect: error: {message}\n")
 
 
 def _count(text: str) -> int:
@@ -57,19 +58,33 @@ def _count(text: str) -> int:
     return value
 
 
+def _finite(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _non_negative(text: str) -> float:
+    value = _finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="weakdetect", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in COMMANDS:
         p = sub.add_parser(name)
         p.add_argument("--input", dest="input_path", metavar="PATH", default=None)
-        p.add_argument("--epsilon", type=float, default=1e-3)
-        p.add_argument("--sigma", type=float, default=1.0)
+        p.add_argument("--epsilon", type=_finite, default=1e-3)
+        p.add_argument("--sigma", type=_finite, default=1.0)
         p.add_argument("--grid-n", type=int, default=4096)
-        p.add_argument("--grid-l", type=float, default=40.0)
+        p.add_argument("--grid-l", type=_finite, default=40.0)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--trials", type=_count, default=1000)
-        p.add_argument("--delta", type=float, default=1e-2)
+        p.add_argument("--delta", type=_non_negative, default=1e-2)
         p.add_argument("--tol-det", dest="tol_det", type=float, default=None)
         p.add_argument("--format", dest="output", choices=("json", "text", "csv"),
                        default="json")
@@ -157,8 +172,11 @@ def cmd_tomo(cfg: argparse.Namespace):
 def cmd_pointer_sim(cfg: argparse.Namespace):
     rho = _load_state(cfg)
     exact = protocol.weak_values_all(rho)
-    full = pointer.estimate_weak_values(rho, _sim_config(cfg))
-    half = pointer.estimate_weak_values(rho, _sim_config(cfg, epsilon=cfg.epsilon / 2))
+    try:
+        full = pointer.estimate_weak_values(rho, _sim_config(cfg))
+        half = pointer.estimate_weak_values(rho, _sim_config(cfg, epsilon=cfg.epsilon / 2))
+    except ValueError as exc:  # the pointer module's own range checks on the flags
+        raise _UsageError(str(exc)) from exc
     half_by_k = {ro.k: ro for ro in half}
     outcomes = {}
     errors, errors_half = [], []

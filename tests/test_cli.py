@@ -243,6 +243,26 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 
+    @pytest.mark.parametrize("argv", [
+        ["robustness", "--delta", "-1"],
+        ["robustness", "--delta", "nan"],
+        ["robustness", "--delta", "inf"],
+        ["pointer-sim", "--epsilon", "0.5"],
+        ["pointer-sim", "--epsilon", "0"],
+        ["pointer-sim", "--sigma", "0"],
+        ["pointer-sim", "--sigma", "5"],
+        ["pointer-sim", "--grid-n", "100"],
+        ["pointer-sim", "--grid-l", "inf"],
+        ["circuit-verify", "--epsilon", "nan"],
+    ], ids=" ".join)
+    def test_bad_numeric_flag_exits_1(self, capsys, werner_file, argv):
+        assert main([*argv, "--input", werner_file]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        errors = [line for line in captured.err.splitlines() if "error:" in line]
+        assert len(errors) == 1 and errors[0].startswith("weakdetect: error: ")
+        assert "Traceback" not in captured.err
+
     def test_nan_entries_exit_2(self, capsys, tmp_path):
         # json.loads accepts the NaN literal; it must not escape as a crash
         path = tmp_path / "nan.json"

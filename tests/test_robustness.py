@@ -2,88 +2,125 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakdetect.protocol import build_hamiltonian, weak_values_all
+from weakdetect import robustness
+from weakdetect.protocol import NoSignalError, build_hamiltonian, exact_weak_value, weak_values_all
 from weakdetect.qmat import trace_norm
-from weakdetect.robustness import (
-    Perturbation,
-    RankDeficientError,
-    _deviations_all,
-    bound_check,
-    coupling_miscalibration,
-    random_perturbation,
-    weak_value_deviation,
-)
-from weakdetect.states import random_mixed, validate, werner
+from weakdetect.robustness import RankDeficientError, bound_check, perturbations
+from weakdetect.states import random_mixed, werner
 
 seeds = st.integers(0, 10**6)
+
+H = build_hamiltonian().matrix
+
+
+def draw(delta, seed):
+    """One perturbation, drawn from the stream SeedSequence(seed)."""
+    return perturbations(delta, [np.random.SeedSequence(seed)])[0]
+
+
+def weak_value_deviation(rho, perturbation, k):
+    """|weak value under H - weak value under H_e| with H_e = H - P."""
+    return abs(exact_weak_value(rho, H, k) - exact_weak_value(rho, H - perturbation, k))
+
+
+def coupling_miscalibration(eta):
+    """Structured error H_e = (1 + eta) H, i.e. P = -eta H with
+    ||P||_1 = 16 |eta| (H has sixteen unit-magnitude eigenvalues);
+    returns (P, its trace norm)."""
+    return -eta * H, 16.0 * abs(eta)
+
+
+def reference_bound_check(rho, delta, trials, seed):
+    """The per-trial loop ``bound_check`` replaces, kept as its oracle.
+
+    Trial i seeds its own generator with child i of SeedSequence(seed) and
+    draws the real and then the imaginary part of a complex Gaussian
+    matrix; its Hermitian part is rescaled by its trace norm. Each
+    outcome's deviation is the weak value of P itself, computed one outcome
+    at a time: weak values are linear in the generator, so this is
+    |wv(H) - wv(H - P)| without the cancellation of that difference.
+    """
+    bound = delta / min(a * b for a in rho.diagonal() for b in rho.diagonal())
+    worst, violations = {}, 0
+    for stream in np.random.SeedSequence(seed).spawn(trials):
+        rng = np.random.default_rng(stream)
+        g = rng.standard_normal((16, 16)) + 1j * rng.standard_normal((16, 16))
+        herm = (g + g.conj().T) / 2
+        p = herm * (delta / trace_norm(herm))
+        for k in range(1, 17):
+            try:
+                dev = abs(exact_weak_value(rho, p, k))
+            except NoSignalError:
+                continue
+            violations += dev > bound
+            if dev > worst.get(k, 0.0):
+                worst[k] = dev
+    margin = min((bound - dev for dev in worst.values()), default=bound)
+    return worst, margin, violations
 
 
 class TestRandomPerturbation:
     @given(seeds)
     @settings(max_examples=10)
     def test_trace_norm_equals_delta(self, seed):
-        pert = random_perturbation(1e-2, seed)
-        assert abs(trace_norm(pert.matrix) - 1e-2) <= 1e-10
-        assert pert.delta == 1e-2
+        stack = perturbations(1e-2, np.random.SeedSequence(seed).spawn(3))
+        assert stack.shape == (3, 16, 16)
+        for matrix in stack:
+            assert abs(trace_norm(matrix) - 1e-2) <= 1e-10
 
     def test_zero_delta_gives_zero_matrix(self):
-        pert = random_perturbation(0.0, 3)
-        assert np.all(pert.matrix == 0)
+        assert np.all(perturbations(0.0, np.random.SeedSequence(3).spawn(4)) == 0)
 
     def test_seed_reproducible(self):
-        a = random_perturbation(1e-3, 42)
-        b = random_perturbation(1e-3, 42)
-        np.testing.assert_array_equal(a.matrix, b.matrix)
+        np.testing.assert_array_equal(draw(1e-3, 42), draw(1e-3, 42))
 
     def test_hermitian(self):
-        pert = random_perturbation(1e-2, 0)
-        np.testing.assert_allclose(pert.matrix, pert.matrix.conj().T, atol=1e-15)
+        stack = perturbations(1e-2, np.random.SeedSequence(0).spawn(5))
+        np.testing.assert_allclose(stack, stack.conj().swapaxes(1, 2), atol=1e-15)
+
+    def test_stacking_draws_each_stream_alone(self):
+        streams = np.random.SeedSequence(5).spawn(6)
+        stack = perturbations(1e-2, streams)
+        for stream, matrix in zip(streams, stack):
+            np.testing.assert_array_equal(perturbations(1e-2, [stream])[0], matrix)
 
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
-            random_perturbation(-1.0, 0)
+            perturbations(-1.0, np.random.SeedSequence(0).spawn(1))
 
 
 class TestWeakValueDeviation:
     def test_zero_perturbation(self):
-        h = build_hamiltonian()
-        pert = Perturbation(np.zeros((16, 16), dtype=complex), 0.0)
+        zero = np.zeros((16, 16), dtype=complex)
         for k in (1, 4, 16):
-            assert weak_value_deviation(werner(0.5), h, pert, k) == 0.0
+            assert weak_value_deviation(werner(0.5), zero, k) == 0.0
 
     def test_scaling_linearity(self):
-        h = build_hamiltonian()
         rho = werner(0.5)
-        base = random_perturbation(1e-2, 11)
-        doubled = Perturbation(2 * base.matrix, 2 * base.delta)
+        base = draw(1e-2, 11)
         for k in range(1, 17):
-            d1 = weak_value_deviation(rho, h, base, k)
-            d2 = weak_value_deviation(rho, h, doubled, k)
+            d1 = weak_value_deviation(rho, base, k)
+            d2 = weak_value_deviation(rho, 2 * base, k)
             assert abs(d2 - 2 * d1) <= 1e-10
 
     def test_werner_bound_sampled(self):
         # min diagonal 1/8, so m = 1/64 and the bound is 0.64 at delta 1e-2
-        h = build_hamiltonian()
         rho = werner(0.5)
         bound = 1e-2 / (1 / 64)
         assert bound == pytest.approx(0.64)
-        rng = np.random.default_rng(0)
-        for _ in range(100):
-            pert = random_perturbation(1e-2, rng)
+        for pert in perturbations(1e-2, np.random.SeedSequence(0).spawn(100)):
             for k in range(1, 17):
-                assert weak_value_deviation(rho, h, pert, k) <= bound
+                assert weak_value_deviation(rho, pert, k) <= bound
 
     @given(seeds)
     @settings(max_examples=10)
     def test_batched_deviations_match_literal(self, seed):
         rho = random_mixed(seed)
-        h = build_hamiltonian()
-        pert = random_perturbation(1e-2, seed + 1)
-        joint = np.kron(rho.matrix, rho.matrix)
-        batched = _deviations_all(joint, pert)
-        for k, dev in batched.items():
+        report = bound_check(rho, 1e-2, trials=1, seed=seed + 1)
+        pert = perturbations(1e-2, np.random.SeedSequence(seed + 1).spawn(1))[0]
+        for k, dev in report.deviations.items():
             assert dev == pytest.approx(
-                weak_value_deviation(rho, h, pert, k), rel=1e-10, abs=1e-15
+                weak_value_deviation(rho, pert, k), rel=1e-10, abs=1e-15
             )
 
 
@@ -112,10 +149,41 @@ class TestBoundCheck:
         with pytest.raises(RankDeficientError):
             bound_check(bell, 1e-2, trials=5, seed=0)
 
+    @pytest.mark.parametrize("delta, trials", [
+        (-1e-3, 5), (-1e-3, 0), (float("nan"), 5), (float("inf"), 5), (1e-2, -1),
+    ])
+    def test_rejects_bad_delta_or_trials(self, delta, trials):
+        with pytest.raises(ValueError):
+            bound_check(werner(0.5), delta, trials=trials, seed=0)
+
     def test_deterministic(self):
         a = bound_check(werner(0.5), 1e-2, trials=20, seed=9)
         b = bound_check(werner(0.5), 1e-2, trials=20, seed=9)
         assert a == b
+
+    def test_stacking_leaves_report_unchanged(self, monkeypatch):
+        whole = bound_check(random_mixed(4), 1e-2, trials=40, seed=6)
+        monkeypatch.setattr(robustness, "CHUNK", 7)
+        assert bound_check(random_mixed(4), 1e-2, trials=40, seed=6) == whole
+
+    def test_prefix_of_trials(self):
+        short = bound_check(random_mixed(12), 1e-2, trials=20, seed=3)
+        longer = bound_check(random_mixed(12), 1e-2, trials=40, seed=3)
+        assert short.deviations.keys() == longer.deviations.keys()
+        for k, dev in short.deviations.items():
+            assert dev <= longer.deviations[k]
+
+    @pytest.mark.parametrize("rho", [werner(0.5), random_mixed(17)], ids=["werner", "ginibre"])
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-1])
+    @pytest.mark.parametrize("trials", [0, 1, 31, 32, 33, 300])
+    def test_matches_per_trial_reference(self, rho, delta, trials):
+        report = bound_check(rho, delta, trials=trials, seed=trials + 5)
+        worst, margin, violations = reference_bound_check(rho, delta, trials, trials + 5)
+        assert report.deviations.keys() == worst.keys()
+        assert report.violations == violations
+        for k, dev in worst.items():
+            assert abs(report.deviations[k] - dev) <= 1e-12 * dev
+        assert abs(report.margin - margin) <= 1e-12 * report.bound
 
     def test_report_serialization(self):
         report = bound_check(werner(0.5), 1e-2, trials=10, seed=3)
@@ -127,31 +195,36 @@ class TestBoundCheck:
         assert rows[0][0] == 1e-2 and rows[0][1] == 1
         assert all(row[3] == report.bound for row in rows)
 
+    def test_no_trials_or_zero_delta_report_no_outcomes(self):
+        for delta, trials in ((1e-2, 0), (0.0, 10)):
+            report = bound_check(werner(0.5), delta, trials=trials, seed=0)
+            assert report.deviations == {}
+            assert report.margin == report.bound
+            assert report.violations == 0
+
 
 class TestCouplingMiscalibration:
     def test_trace_norm(self):
         # H has sixteen unit-magnitude eigenvalues, so ||eta H||_1 = 16 |eta|
-        pert = coupling_miscalibration(1e-3)
-        assert pert.delta == pytest.approx(16e-3)
-        assert trace_norm(pert.matrix) == pytest.approx(16e-3, abs=1e-12)
+        pert, delta = coupling_miscalibration(1e-3)
+        assert delta == pytest.approx(16e-3)
+        assert trace_norm(pert) == pytest.approx(16e-3, abs=1e-12)
 
     def test_bound_holds(self):
         rho = werner(0.5)
-        h = build_hamiltonian()
-        pert = coupling_miscalibration(1e-3)
-        bound = pert.delta / min(rho.diagonal()) ** 2
+        pert, delta = coupling_miscalibration(1e-3)
+        bound = delta / min(rho.diagonal()) ** 2
         for k in range(1, 17):
-            assert weak_value_deviation(rho, h, pert, k) <= bound
+            assert weak_value_deviation(rho, pert, k) <= bound
 
     def test_scaled_hamiltonian_shifts_weak_values_proportionally(self):
         # H_e = (1+eta) H multiplies every weak value by (1+eta)
         rho = werner(0.5)
-        h = build_hamiltonian()
         eta = 1e-3
-        pert = coupling_miscalibration(eta)
+        pert, _ = coupling_miscalibration(eta)
         wv = weak_values_all(rho)
         for k, value in wv.values.items():
             expected = abs(value) * eta
-            assert weak_value_deviation(rho, h, pert, k) == pytest.approx(
+            assert weak_value_deviation(rho, pert, k) == pytest.approx(
                 expected, abs=1e-12
             )

@@ -11,16 +11,28 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 
 
+def run_script(script, args):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    return subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("script, args, header", [
     ("pointer_convergence.py", ["--steps", "2"],
      f"{'epsilon':>12}  {'max |est - exact|':>18}  {'ratio to previous':>18}"),
     ("robustness_sweep.py", ["--trials", "2"], "delta,k,worst_deviation,bound"),
 ])
 def test_script_runs(script, args, header):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    run = subprocess.run([sys.executable, str(ROOT / "scripts" / script), *args],
-                         capture_output=True, text=True, env=env, timeout=120)
+    run = run_script(script, args)
     assert run.returncode == 0, run.stderr
     lines = run.stdout.splitlines()
     assert lines[0] == header
     assert len(lines) > 1
+
+
+def test_sweep_rejects_negative_trials():
+    run = run_script("robustness_sweep.py", ["--trials", "-1"])
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.splitlines() == [
+        "robustness_sweep.py: error: trials must be non-negative, got -1"]
