@@ -82,10 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sigma", type=_finite, default=1.0)
         p.add_argument("--grid-n", type=int, default=4096)
         p.add_argument("--grid-l", type=_finite, default=40.0)
-        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--seed", type=_count, default=0)
         p.add_argument("--trials", type=_count, default=1000)
         p.add_argument("--delta", type=_non_negative, default=1e-2)
-        p.add_argument("--tol-det", dest="tol_det", type=float, default=None)
+        p.add_argument("--tol-det", dest="tol_det", type=_non_negative, default=None)
         p.add_argument("--format", dest="output", choices=("json", "text", "csv"),
                        default="json")
     return parser

@@ -22,15 +22,17 @@ therefore the 2x2 mixture
 with P = J[j, j], N = J[pi(j), j] and Q = J[pi(j), pi(j)] gathered from
 rho. Each moment sum is the contraction of these four coefficients with
 the overlaps <phi_b|O|phi_a> for O = 1, x, x^2, p, p^2, a table built once
-per (grid, sigma, epsilon). The translation is spectral (multiplication by
-exp(-i epsilon p) in the Fourier domain, exact for waves with negligible
-boundary tails) and momentum moments are sums over the FFT grid.
+per (grid, sigma, epsilon) and process. The translation is spectral
+(multiplication by exp(-i epsilon p) in the Fourier domain, exact for waves
+with negligible boundary tails) and momentum moments are sums over the FFT
+grid.
 hbar = 1 throughout.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -141,7 +143,19 @@ def pointer_overlaps(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     (phi_s, phi_d) (see the module docstring) and O = 1, x, x^2, p, p^2, and
     the (5,) row <phi|O|phi> of the input Gaussian itself. Momentum terms are
     sums over the FFT grid.
+
+    The pair is built once per config and process and shared between
+    callers, so both arrays are read-only.
     """
+    return _overlap_table(cfg)
+
+
+# One entry is under 1 kB. A run that cycles through more configs than the
+# cache holds would miss on every call, so the bound leaves room for a sweep
+# over a few grids, sigmas and epsilons (pointer-sim asks for epsilon and
+# epsilon / 2).
+@lru_cache(maxsize=64)
+def _overlap_table(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     grid = cfg.grid
     phi_in = gaussian_pointer(cfg.sigma, grid)
     plus = translate(phi_in, +cfg.epsilon).amplitudes
@@ -155,7 +169,10 @@ def pointer_overlaps(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     momentum = np.einsum("bj,mj,aj->abm", spectra.conj(),
                          np.stack([p, p**2]) * (grid.dx**2 / (2.0 * np.pi) * dp), spectra)
     table = np.concatenate([position, momentum], axis=2)
-    return table[:2, :2], table[2, 2].real
+    overlaps, reference = table[:2, :2].copy(), table[2, 2].real.copy()
+    overlaps.setflags(write=False)
+    reference.setflags(write=False)
+    return overlaps, reference
 
 
 def moment_table(rho: TwoQubitState, overlaps: np.ndarray) -> np.ndarray:

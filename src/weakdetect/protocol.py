@@ -31,6 +31,7 @@ import numpy as np
 
 from . import qmat
 from .states import (
+    PositivityError,
     PureAmplitudes,
     TAU_DET,
     TwoQubitState,
@@ -548,7 +549,9 @@ def reconstruct_batch(
     partner outcome and finally to 0 when neither outcome carried signal.
     The diagonal is renormalized to sum exactly 1 and the result is
     validated (positivity within ``positivity_tol``; a failure signals
-    inconsistent input data). Returns the validated stack.
+    inconsistent input data). Returns the validated stack. A rebuilt matrix
+    that fails positivity while an off-diagonal between two non-zero
+    diagonals went unmeasured raises NoSignalError naming those elements.
     """
     diagonal = np.asarray(diagonal, dtype=float)
     negative = (diagonal < 0).any(axis=1)
@@ -569,7 +572,21 @@ def reconstruct_batch(
     m[:, _UPPER[0], _UPPER[1]] = upper
     m[:, _UPPER[1], _UPPER[0]] = upper.conj()
     m[:, np.arange(4), np.arange(4)] = diagonal
-    return validate_batch(m, positivity_tol=positivity_tol)
+    try:
+        return validate_batch(m, positivity_tol=positivity_tol)
+    except PositivityError as exc:
+        # An unmeasured element between two non-zero diagonals may be
+        # non-zero in the true state; rebuilt as 0 it can break positivity.
+        rows, cols = _UPPER
+        failed = np.linalg.eigvalsh(m)[:, 0] < -positivity_tol
+        lost = ~(defined[:, k1] | defined[:, k2]) & (diagonal[:, rows] * diagonal[:, cols] > 0)
+        culprits = np.flatnonzero(failed & lost.any(axis=1))
+        if not culprits.size:
+            raise
+        named = ", ".join(f"element ({rows[e]}, {cols[e]}) (outcomes {k1[e] + 1} and {k2[e] + 1})"
+                          for e in np.flatnonzero(lost[culprits[0]]))
+        raise NoSignalError(f"{exc}: no outcome carried signal for {named}, "
+                            "rebuilt as 0") from exc
 
 
 def reconstruct(

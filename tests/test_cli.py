@@ -10,7 +10,7 @@ import pytest
 import weakdetect.cli as cli
 from weakdetect.cli import main
 from weakdetect.protocol import OracleMismatchError
-from weakdetect.states import bell_phi_plus, state_to_json_dict, werner
+from weakdetect.states import bell_phi_plus, state_to_json_dict, validate, werner
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -114,6 +114,18 @@ class TestTomo:
         doc = json.loads(out)
         assert doc["trace_distance"] <= 1e-8
         assert doc["diagonal"][0] == pytest.approx(3 / 8)
+
+
+    def test_unmeasured_element_is_named(self, capsys, tmp_path):
+        # r = 0 silences outcomes 10 and 12, the two that measure
+        # y = rho[1, 3], so y is rebuilt as 0 and positivity fails
+        psi = np.array([0.6, 0.48, 0.0, 0.64])
+        path = tmp_path / "r0.json"
+        path.write_text(json.dumps(state_to_json_dict(validate(np.outer(psi, psi)))))
+        assert main(["tomo", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("weakdetect: invalid state: ")
+        assert "element (1, 3) (outcomes 12 and 10)" in err
 
 
 class TestPointerSim:
@@ -254,6 +266,11 @@ class TestExitCodes:
         ["pointer-sim", "--grid-n", "100"],
         ["pointer-sim", "--grid-l", "inf"],
         ["circuit-verify", "--epsilon", "nan"],
+        ["detect", "--tol-det", "nan"],
+        ["benchmark", "--tol-det", "nan"],
+        ["benchmark", "--tol-det", "-1"],
+        ["benchmark", "--seed", "-1"],
+        ["robustness", "--seed", "-1"],
     ], ids=" ".join)
     def test_bad_numeric_flag_exits_1(self, capsys, werner_file, argv):
         assert main([*argv, "--input", werner_file]) == 1

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from weakdetect import pointer
 from weakdetect.pointer import (
     PointerGrid,
     PointerWave,
@@ -252,6 +253,69 @@ class TestEstimateWeakValues:
 
         ratio = max_err(1e-3) / max_err(5e-4)
         assert 1.7 <= ratio <= 4.3
+
+
+def small_config(n=256, half_extent=20.0, sigma=1.0, epsilon=1e-3):
+    return SimConfig(epsilon=epsilon, sigma=sigma, grid=PointerGrid(n, half_extent))
+
+
+class TestOverlapCache:
+    """pointer_overlaps memoises its table per SimConfig."""
+
+    def setup_method(self):
+        pointer._overlap_table.cache_clear()
+
+    def counts(self):
+        info = pointer._overlap_table.cache_info()
+        return info.hits, info.misses
+
+    def test_equal_configs_hit_and_each_field_misses(self):
+        first = pointer_overlaps(small_config())
+        again = pointer_overlaps(small_config())  # equal, not the same object
+        assert again[0] is first[0] and again[1] is first[1]
+        assert self.counts() == (1, 1)
+        for changed in (small_config(n=512), small_config(half_extent=25.0),
+                        small_config(sigma=1.5), small_config(epsilon=2e-3)):
+            pointer_overlaps(changed)
+        assert self.counts() == (1, 5)
+
+    def test_tables_reject_writes(self):
+        overlaps, reference = pointer_overlaps(small_config())
+        assert overlaps.flags.owndata and reference.flags.owndata
+        with pytest.raises(ValueError):
+            overlaps[0, 0, 0] = 0.0
+        with pytest.raises(ValueError):
+            reference[0] = 0.0
+
+    @pytest.mark.parametrize("cfg", [small_config(), small_config(sigma=0.5, epsilon=0.05),
+                                     default_config(1e-3, 1.0)],
+                             ids=["small", "narrow-strong", "default"])
+    def test_cached_equals_uncached_bit_for_bit(self, cfg):
+        uncached = pointer._overlap_table.__wrapped__(cfg)
+        for _ in range(2):  # a miss, then a hit
+            cached = pointer_overlaps(cfg)
+            for got, want in zip(cached, uncached):
+                assert got.dtype == want.dtype and got.shape == want.shape
+                assert got.tobytes() == want.tobytes()
+
+    def test_evicted_configs_rebuild_correctly(self):
+        maxsize = pointer._overlap_table.cache_parameters()["maxsize"]
+        assert maxsize >= 64
+        configs = [small_config(epsilon=(i + 1) * 1e-4) for i in range(maxsize + 6)]
+        for cfg in configs:
+            pointer_overlaps(cfg)
+        assert pointer._overlap_table.cache_info().currsize == maxsize
+        for cfg in configs[:3]:  # the oldest, evicted
+            rebuilt = pointer_overlaps(cfg)
+            for got, want in zip(rebuilt, pointer._overlap_table.__wrapped__(cfg)):
+                assert got.tobytes() == want.tobytes()
+        assert self.counts() == (0, maxsize + 9)
+
+    def test_cached_estimates_match_a_cold_build(self):
+        rho, cfg = random_mixed(5), small_config()
+        cold = estimate_weak_values(rho, cfg)
+        assert estimate_weak_values(rho, cfg) == cold
+        assert self.counts() == (1, 1)
 
 
 def test_pointer_wave_rejects_unnormalized():

@@ -463,6 +463,23 @@ class TestReconstruct:
         with pytest.raises(ValueError):
             reconstruct(wv, (1.2, -0.2, 0.0, 0.0))
 
+    def test_unmeasured_element_raises_no_signal(self):
+        # r = 0: outcomes 10 and 12 (y = rho[1, 3], between q and s) are
+        # silent; v = rho[0, 2] is silent too but must be 0, since r = 0
+        psi = np.array([0.6, 0.48, 0.0, 0.64])
+        rho = validate(np.outer(psi, psi))
+        message = r"for element \(1, 3\) \(outcomes 12 and 10\), rebuilt as 0$"
+        with pytest.raises(NoSignalError, match=message):
+            reconstruct(weak_values_all(rho), diagonals_from_postselection(rho))
+
+    def test_unmeasured_element_kept_at_zero_when_still_valid(self):
+        # p = s = 0 silences both outcomes of x = rho[1, 2]; x = 0 stays a
+        # valid state, so reconstruction returns it rather than raising
+        psi = np.array([0.0, 0.6, 0.8, 0.0])
+        rho = validate(np.outer(psi, psi))
+        rebuilt = reconstruct(weak_values_all(rho), diagonals_from_postselection(rho))
+        np.testing.assert_allclose(rebuilt.matrix, np.diag(np.diag(rho.matrix)), atol=1e-15)
+
     def test_rejects_inconsistent_data(self, bell):
         # Bell weak values give w/s = 1, so w = s after recovery; forcing
         # s > p makes the (|00>, |11>) block indefinite
