@@ -6,6 +6,7 @@ Usage:  python scripts/pointer_convergence.py --seed 11 --steps 6
 """
 
 import argparse
+import sys
 
 from weakdetect.pointer import default_config, estimate_weak_values
 from weakdetect.protocol import weak_values_all
@@ -20,19 +21,26 @@ def main() -> None:
                         help="largest coupling; halved each step")
     args = parser.parse_args()
 
-    rho = random_mixed(args.seed)
-    exact = weak_values_all(rho)
+    # every row is computed before the header, so bad input prints nothing
+    try:
+        for flag, value in (("--seed", args.seed), ("--steps", args.steps)):
+            if value < 0:
+                raise ValueError(f"{flag} must be non-negative, got {value}")
+        rho = random_mixed(args.seed)
+        exact = weak_values_all(rho)
+        epsilons = [args.epsilon / 2**i for i in range(args.steps)]
+        errors = [max(abs(r.estimate - exact.values[r.k])
+                      for r in estimate_weak_values(rho, default_config(eps)))
+                  for eps in epsilons]
+    except ValueError as exc:
+        sys.exit(f"{parser.prog}: error: {exc}")
 
     print(f"{'epsilon':>12}  {'max |est - exact|':>18}  {'ratio to previous':>18}")
     previous = None
-    eps = args.epsilon
-    for _ in range(args.steps):
-        readouts = estimate_weak_values(rho, default_config(eps))
-        err = max(abs(r.estimate - exact.values[r.k]) for r in readouts)
+    for eps, err in zip(epsilons, errors):
         ratio = f"{previous / err:18.3f}" if previous else f"{'-':>18}"
         print(f"{eps:12.2e}  {err:18.3e}  {ratio}")
         previous = err
-        eps /= 2
 
 
 if __name__ == "__main__":

@@ -20,8 +20,11 @@ def main() -> None:
                         help="random full-rank state; Werner(1/2) if omitted")
     args = parser.parse_args()
 
-    rho = werner(0.5) if args.state_seed is None else random_mixed(args.state_seed)
     try:
+        for flag, value in (("--seed", args.seed), ("--state-seed", args.state_seed)):
+            if value is not None and value < 0:
+                raise ValueError(f"{flag} must be non-negative, got {value}")
+        rho = werner(0.5) if args.state_seed is None else random_mixed(args.state_seed)
         reports = [bound_check(rho, 10.0**-exponent, trials=args.trials, seed=args.seed)
                    for exponent in range(4, 0, -1)]
     except ValueError as exc:

@@ -12,7 +12,9 @@ with Rx(-eps) = exp(-i eps X). The two-qubit block factors over the X
 eigenbasis, exp(-i eps X(x)X) = |+><+| (x) Rx(-eps) + |-><-| (x) Rx(+eps),
 so a Hadamard sandwich on qubit 2 turns it into two controlled single-qubit
 rotations. The assembled gate list must reproduce U exactly for every eps,
-not just in the weak regime.
+not just in the weak regime. X, X(x)X and the conditional-flip generator H
+all square to the identity, so each exponential is exp(-i eps A) =
+cos(eps) 1 - i sin(eps) A in closed form.
 """
 
 from __future__ import annotations
@@ -21,8 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import qmat
-from .protocol import build_hamiltonian
+from .protocol import HAMILTONIAN
 
 N_QUBITS = 4
 DIM = 16
@@ -50,27 +51,24 @@ class CircuitSpec:
     epsilon: float
 
 
+def _exp_involution(a: np.ndarray, epsilon: float) -> np.ndarray:
+    """exp(-i epsilon A) = cos(eps) 1 - i sin(eps) A for A with A @ A = 1."""
+    return np.cos(epsilon) * np.eye(len(a)) - 1j * np.sin(epsilon) * a
+
+
 def x_rotation(epsilon: float) -> np.ndarray:
     """exp(-i epsilon X) = cos(eps) 1 - i sin(eps) X."""
-    return qmat.expm_hermitian(_SIGMA_X, -1j * epsilon)
+    return _exp_involution(_SIGMA_X, epsilon)
 
 
 def weak_interaction_unitary(epsilon: float) -> np.ndarray:
     """The closed-form 16x16 conditional unitary generated by the
     conditional-flip Hamiltonian at coupling epsilon."""
-    eye2 = np.eye(2, dtype=complex)
     rx = x_rotation(epsilon)
-    rxx = qmat.expm_hermitian(np.kron(_SIGMA_X, _SIGMA_X), -1j * epsilon)
-    proj0 = np.diag([1.0, 0.0]).astype(complex)
-    proj10 = np.zeros((4, 4), dtype=complex)
-    proj10[2, 2] = 1.0
-    proj11 = np.zeros((4, 4), dtype=complex)
-    proj11[3, 3] = 1.0
-    return (
-        np.kron(proj0, np.kron(eye2, np.kron(eye2, rx)))
-        + np.kron(proj10, np.kron(rx, eye2))
-        + np.kron(proj11, rxx)
-    )
+    rxx = _exp_involution(np.kron(_SIGMA_X, _SIGMA_X), epsilon)
+    return (np.kron(np.diag([1.0, 0.0]), np.kron(np.eye(4), rx))
+            + np.kron(np.diag([0.0, 0.0, 1.0, 0.0]), np.kron(rx, np.eye(2)))
+            + np.kron(np.diag([0.0, 0.0, 0.0, 1.0]), rxx))
 
 
 def build_detection_circuit(epsilon: float) -> CircuitSpec:
@@ -104,36 +102,29 @@ def embed_gate(gate: Gate) -> np.ndarray:
         raise ValueError(f"gate {gate.label}: matrix shape {gate.matrix.shape} "
                          f"does not match {len(gate.targets)} target(s)")
     deviation = float(np.max(np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(d))))
-    if deviation > 1e-12:
+    if not deviation <= 1e-12:  # NaN entries fail too
         raise ValueError(f"gate {gate.label} is not unitary ({deviation:.3e})")
+    if len(set(gate.targets)) != len(gate.targets):
+        raise ValueError(f"gate {gate.label}: repeated target qubit")
     control_qubits = {c for c, _ in gate.controls}
     if control_qubits & set(gate.targets):
         raise ValueError(f"gate {gate.label}: controls overlap targets")
     if any(not 0 <= t < N_QUBITS for t in list(gate.targets) + list(control_qubits)):
         raise ValueError(f"gate {gate.label}: qubit index out of range")
 
-    def bit(state: int, qubit: int) -> int:
-        return (state >> (N_QUBITS - 1 - qubit)) & 1
-
-    def set_bits(state: int, local: int) -> int:
-        for pos, qubit in enumerate(gate.targets):
-            bitval = (local >> (len(gate.targets) - 1 - pos)) & 1
-            mask = 1 << (N_QUBITS - 1 - qubit)
-            state = (state | mask) if bitval else (state & ~mask)
-        return state
-
-    full = np.zeros((DIM, DIM), dtype=complex)
-    for col in range(DIM):
-        if any(bit(col, q) != v for q, v in gate.controls):
-            full[col, col] = 1.0
-            continue
-        local_in = 0
-        for qubit in gate.targets:
-            local_in = (local_in << 1) | bit(col, qubit)
-        for local_out in range(d):
-            row = set_bits(col, local_out)
-            full[row, col] += gate.matrix[local_out, local_in]
-    return full
+    # 1 - P + P G. G acts on the target bits and leaves the others alone:
+    # G[r, c] = matrix[local(r), local(c)] when r and c agree off the
+    # targets, local(.) reading the target bits in target order. P projects
+    # onto the basis states whose control bits match.
+    index = np.arange(DIM)
+    masks = 1 << (N_QUBITS - 1 - np.array(gate.targets, dtype=int))
+    local = ((index[:, None] & masks) > 0) @ (1 << np.arange(len(masks)))[::-1]
+    rest = index & ~masks.sum()
+    g = np.where(rest[:, None] == rest, gate.matrix[local[:, None], local], 0.0)
+    fires = np.ones(DIM, dtype=bool)
+    for qubit, value in gate.controls:
+        fires &= (index >> (N_QUBITS - 1 - qubit)) & 1 == value
+    return np.where(fires[:, None], g, np.eye(DIM))
 
 
 def assemble_unitary(spec: CircuitSpec) -> np.ndarray:
@@ -154,8 +145,7 @@ def verify_equivalence(epsilon: float) -> float:
 def unitary_vs_hamiltonian(epsilon: float) -> float:
     """Max-entry deviation between U(eps) and exp(-i eps H)."""
     direct = weak_interaction_unitary(epsilon)
-    exponential = qmat.expm_hermitian(build_hamiltonian().matrix, -1j * epsilon)
-    return float(np.max(np.abs(direct - exponential)))
+    return float(np.max(np.abs(direct - _exp_involution(HAMILTONIAN, epsilon))))
 
 
 def format_circuit(spec: CircuitSpec) -> str:

@@ -2,8 +2,7 @@
 
 Every command builds a JSON document first; text and CSV output are
 renderings of that document, never separate code paths. Exit codes:
-0 success, 1 I/O or parse failure, 2 invalid state, 3 internal assertion
-(oracle mismatch).
+0 success, 1 I/O or parse failure, 2 invalid state.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from . import circuit, pointer, protocol, robustness, states
 EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID_STATE = 2
-EXIT_INTERNAL = 3
 
 COMMANDS = (
     "validate",
@@ -345,9 +343,6 @@ def main(argv: list[str] | None = None) -> int:
             protocol.NoSignalError) as exc:
         print(f"weakdetect: invalid state: {exc}", file=sys.stderr)
         return EXIT_INVALID_STATE
-    except protocol.OracleMismatchError as exc:
-        print(f"weakdetect: internal assertion failed: {exc}", file=sys.stderr)
-        return EXIT_INTERNAL
     print(render(doc, rows, args.output))
     return code
 

@@ -29,7 +29,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import qmat
 from .states import (
     PositivityError,
     PureAmplitudes,
@@ -56,39 +55,9 @@ TAU_DEN = 1e-12
 
 INFORMATIVE_OUTCOMES = (1, 2, 3, 4, 9, 10, 11, 12, 13, 14, 15, 16)
 
-# outcome -> (row, col, diagonal index) of the element ratio it measures:
-# weak value at k equals matrix[row, col] / matrix[diag, diag].
-OUTCOME_RATIO_INDEX: dict[int, tuple[int, int, int]] = {
-    1: (1, 0, 0),
-    2: (0, 1, 1),
-    3: (3, 2, 2),
-    4: (2, 3, 3),
-    5: (1, 0, 0),
-    6: (0, 1, 1),
-    7: (3, 2, 2),
-    8: (2, 3, 3),
-    9: (2, 0, 0),
-    10: (3, 1, 1),
-    11: (0, 2, 2),
-    12: (1, 3, 3),
-    13: (3, 0, 0),
-    14: (2, 1, 1),
-    15: (1, 2, 2),
-    16: (0, 3, 3),
-}
-
 
 class NoSignalError(RuntimeError):
     """Post-selection probability vanished for the requested outcome."""
-
-
-class OracleMismatchError(RuntimeError):
-    """Internal consistency check failed (weak value vs element ratio)."""
-
-
-class HamiltonianKind(Enum):
-    GENERAL = "General"
-    PURE_LOCAL = "PureLocal"
 
 
 class DecisionPath(Enum):
@@ -100,17 +69,6 @@ class DecisionPath(Enum):
 
 # Decision paths of detect_batch, by the code it reports per state.
 BATCH_PATHS = (DecisionPath.GENERAL, DecisionPath.CASE_I, DecisionPath.CASE_II)
-
-
-@dataclass(frozen=True, eq=False)
-class WeakHamiltonian:
-    """16x16 Hermitian generator of the weak interaction; squares to identity."""
-
-    matrix: np.ndarray
-    kind: HamiltonianKind
-
-    def __post_init__(self) -> None:
-        self.matrix.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -132,29 +90,6 @@ class WeakValueSet:
         """(values, defined mask) over outcomes 1..16; 0 where undefined."""
         values = np.array([self.values.get(k, 0j) for k in range(1, 17)], dtype=complex)
         return values, np.array([k in self.values for k in range(1, 17)])
-
-
-@dataclass(frozen=True, eq=False)
-class RatioSet:
-    """The element ratios the outcomes measure, outcome k at index k - 1."""
-
-    values: np.ndarray
-
-    @classmethod
-    def from_weak_values(cls, wv: WeakValueSet) -> "RatioSet":
-        missing = [k for k in INFORMATIVE_OUTCOMES if k not in wv.values]
-        if missing:
-            raise NoSignalError(f"outcomes {missing} undefined; ratios incomplete")
-        return cls(wv.arrays()[0])
-
-    @classmethod
-    def from_state(cls, rho: TwoQubitState) -> "RatioSet":
-        """Ratios read directly off the matrix (test oracle)."""
-        ratios = _element_ratios(rho.matrix[None], TAU_DIAG)[0]
-        if np.isnan(ratios).any():
-            raise NoSignalError(f"diagonal {rho.diagonal()} has an entry at or below "
-                                f"{TAU_DIAG:.0e}; ratios undefined")
-        return cls(ratios)
 
 
 @dataclass(frozen=True)
@@ -227,10 +162,11 @@ def _conditional_flip() -> np.ndarray:
     return h
 
 
-HAMILTONIAN = WeakHamiltonian(_conditional_flip(), HamiltonianKind.GENERAL)
+HAMILTONIAN = _conditional_flip()
+HAMILTONIAN.setflags(write=False)
 
 # H is a permutation matrix: row j holds a single 1, in column PERM[j].
-PERM = np.argmax(HAMILTONIAN.matrix.real, axis=1)
+PERM = np.argmax(HAMILTONIAN.real, axis=1)
 
 # The single-qubit flip of build_local_hamiltonian() acts on the last qubit,
 # so it maps outcome index j to j ^ 1.
@@ -242,82 +178,54 @@ _A, _B = np.divmod(np.arange(16), 4)
 _SQUARE_OUTCOMES = 5 * np.arange(4)
 _INFORMATIVE = np.array(INFORMATIVE_OUTCOMES) - 1
 
+# outcome k -> (row, col, diagonal index) of the element ratio it measures:
+# weak value at k equals matrix[row, col] / matrix[diag, diag]. H is block
+# diagonal over the first copy (a' = a), so with j = k - 1 the gather
+# rho[a', a] rho[b', b] / (rho[a, a] rho[b, b]) is rho[b', b] / rho[b, b],
+# b' = PERM[j] % 4.
+OUTCOME_RATIO_INDEX: dict[int, tuple[int, int, int]] = {
+    j + 1: (int(PERM[j] % 4), int(_B[j]), int(_B[j])) for j in range(16)
+}
+_RATIO_ROW, _RATIO_COL, _RATIO_DIAG = np.array(list(OUTCOME_RATIO_INDEX.values())).T
 
-def build_hamiltonian() -> WeakHamiltonian:
+
+def build_hamiltonian() -> np.ndarray:
     """The conditional-flip generator on two copies (read-only; built once)."""
     return HAMILTONIAN
 
 
-def build_local_hamiltonian() -> WeakHamiltonian:
-    """Single-qubit flip on the last qubit: acts locally on all four qubits."""
+def build_local_hamiltonian() -> np.ndarray:
+    """Single-qubit flip on the last qubit: acts locally on all four qubits
+    (read-only)."""
     h = np.kron(np.eye(8, dtype=complex), _SIGMA_X)
-    return WeakHamiltonian(h, HamiltonianKind.PURE_LOCAL)
+    h.setflags(write=False)
+    return h
 
 
-def _hamiltonian_matrix(hamiltonian) -> np.ndarray:
-    if isinstance(hamiltonian, WeakHamiltonian):
-        return hamiltonian.matrix
-    return qmat.as_matrix(hamiltonian)
-
-
-def _check_outcome(k: int) -> None:
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 16:
-        raise ValueError(f"outcome index must be in 1..16, got {k!r}")
-
-
-def exact_weak_value(rho: TwoQubitState, hamiltonian, k: int, *, tau_den: float = TAU_DEN) -> complex:
+def exact_weak_value(rho: TwoQubitState, hamiltonian: np.ndarray, k: int, *,
+                     tau_den: float = TAU_DEN) -> complex:
     """<u_k| H (rho x rho) |u_k> / <u_k| rho x rho |u_k> for outcome k.
 
     Works for any 16x16 generator; raises NoSignalError when the
     post-selection probability is below ``tau_den``.
     """
-    _check_outcome(k)
-    h = _hamiltonian_matrix(hamiltonian)
+    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 16:
+        raise ValueError(f"outcome index must be in 1..16, got {k!r}")
     joint = np.kron(rho.matrix, rho.matrix)
     den = float(joint[k - 1, k - 1].real)
     if den <= tau_den:
         raise NoSignalError(f"outcome {k} has post-selection probability {den:.3e}")
-    num = complex(h[k - 1, :] @ joint[:, k - 1])
+    num = complex(hamiltonian[k - 1, :] @ joint[:, k - 1])
     return num / den
 
 
-def _element_ratios(stack: np.ndarray, tau_diag: float) -> np.ndarray:
+def _element_ratios(stack: np.ndarray) -> np.ndarray:
     """(N, 16) ratios read off the matrices through OUTCOME_RATIO_INDEX;
-    NaN where the ratio's diagonal is at or below ``tau_diag``."""
-    rows, cols, diags = np.array([OUTCOME_RATIO_INDEX[k] for k in range(1, 17)]).T
-    den = stack[:, diags, diags].real
-    readable = den > tau_diag
-    return np.where(readable, stack[:, rows, cols] / np.where(readable, den, 1.0), np.nan)
-
-
-def element_ratio(rho: TwoQubitState, k: int, *, tau_diag: float = TAU_DIAG) -> complex:
-    """The element ratio outcome k measures, read directly off the matrix."""
-    _check_outcome(k)
-    value = _element_ratios(rho.matrix[None], tau_diag)[0, k - 1]
-    if np.isnan(value):
-        raise NoSignalError(f"diagonal of outcome {k} is at or below {tau_diag:.0e}; "
-                            f"ratio undefined")
-    return complex(value)
-
-
-def _assert_identities(stack: np.ndarray, values: np.ndarray, defined: np.ndarray) -> None:
-    """Self-check: each weak value gathered through PERM must equal the
-    element ratio the outcome table names, and the redundant outcomes must
-    duplicate their partners."""
-    expected = _element_ratios(stack, TAU_DIAG)
-    wrong = defined & (np.abs(values - expected) > 1e-9 * (1.0 + np.abs(expected)))
-    if wrong.any():
-        n, j = np.argwhere(wrong)[0]
-        raise OracleMismatchError(
-            f"state {n}, outcome {j + 1}: weak value {complex(values[n, j])!r} "
-            f"!= element ratio {complex(expected[n, j])!r}"
-        )
-    partner = values[:, :4]
-    duplicated = defined[:, 4:8] & defined[:, :4]
-    wrong = duplicated & (np.abs(values[:, 4:8] - partner) > 1e-10 * (1.0 + np.abs(partner)))
-    if wrong.any():
-        n, j = np.argwhere(wrong)[0]
-        raise OracleMismatchError(f"state {n}: outcome {j + 5} should duplicate outcome {j + 1}")
+    NaN where the ratio's diagonal is at or below TAU_DIAG."""
+    den = stack[:, _RATIO_DIAG, _RATIO_DIAG].real
+    readable = den > TAU_DIAG
+    return np.where(readable, stack[:, _RATIO_ROW, _RATIO_COL] / np.where(readable, den, 1.0),
+                    np.nan)
 
 
 def joint_entries(stack: np.ndarray, perm: np.ndarray = PERM) -> tuple[np.ndarray, np.ndarray]:
@@ -340,13 +248,11 @@ def weak_values_batch(
     """(weak values, post-selection probabilities, defined mask) at all 16
     outcomes of an (N, 4, 4) stack, each (N, 16), outcome k in column k - 1.
 
-    Outcomes at or below ``tau_den`` are undefined, with weak value 0. A
-    violated identity (see _assert_identities) raises OracleMismatchError.
+    Outcomes at or below ``tau_den`` are undefined, with weak value 0.
     """
     numerators, probabilities = joint_entries(stack)
     defined = probabilities > tau_den
     values = np.where(defined, numerators / np.where(defined, probabilities, 1.0), 0.0)
-    _assert_identities(stack, values, defined)
     return values, np.maximum(probabilities, 0.0), defined
 
 
@@ -431,18 +337,6 @@ def _bracket(ratios: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return _bracket_terms(ratios, diagonal).sum(axis=1).real
 
 
-def det_bracket_terms(ratios: RatioSet, diagonal: tuple[float, float, float, float]) -> list[complex]:
-    """The 24 terms of det(rho^TB)/(pqrs), decomposed over the ratio set
-    (table ``_BRACKET_TERMS``)."""
-    terms = _bracket_terms(ratios.values[None], np.array([diagonal], dtype=float))
-    return [complex(t) for t in terms[0]]
-
-
-def det_bracket(ratios: RatioSet, diagonal: tuple[float, float, float, float]) -> float:
-    """det(rho^TB)/(pqrs) from the ratio set (real; residue is roundoff)."""
-    return float(_bracket(ratios.values[None], np.array([diagonal], dtype=float))[0])
-
-
 def detect_batch(
     stack: np.ndarray,
     *,
@@ -477,7 +371,7 @@ def detect_batch(
     q_or_r = small[:, 1] | small[:, 2]
     general = ~(case_i | q_or_r)
 
-    matrix = _element_ratios(stack, TAU_DIAG)
+    matrix = _element_ratios(stack)
     probe = np.where(defined, values, matrix)
     x_over_q = np.abs(probe[:, 13])  # outcome 14: x*/q
     w_over_s = np.abs(probe[:, 15])  # outcome 16: w/s

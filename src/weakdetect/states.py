@@ -23,8 +23,6 @@ from enum import Enum
 
 import numpy as np
 
-from . import qmat
-
 # |det(rho^TB)| below this is treated as zero when classifying verdicts:
 # ~1000x above accumulated kernel roundoff, far below physical magnitudes
 # (the Bell value is 6.25e-2).
@@ -202,7 +200,7 @@ def partial_transpose_b(rho: TwoQubitState) -> np.ndarray:
 
 def det_ptb(rho: TwoQubitState) -> float:
     """det(rho^TB) via pivoted LU; real part (imaginary residue is roundoff)."""
-    return qmat.determinant(partial_transpose_b(rho)).real
+    return float(np.linalg.det(partial_transpose_b(rho)).real)
 
 
 def det_ptb_expansion(rho: TwoQubitState, *, tau_diag: float = 1e-10) -> float:
@@ -264,7 +262,7 @@ def ppt_oracle(rho: TwoQubitState, *, tau: float = TAU_DET) -> Verdict:
 
 def negativity(rho: TwoQubitState) -> float:
     """(||rho^TB||_1 - 1)/2 = |sum of negative partial-transpose eigenvalues|."""
-    return (qmat.trace_norm(partial_transpose_b(rho)) - 1.0) / 2.0
+    return float(np.abs(np.linalg.eigvalsh(partial_transpose_b(rho))).sum() - 1.0) / 2.0
 
 
 def entanglement_estimate(rho: TwoQubitState) -> float:

@@ -195,7 +195,7 @@ def test_criterion_07_circuit_equivalence():
 
 def test_criterion_08_robustness_bound():
     rng = np.random.default_rng(8)
-    h = build_hamiltonian().matrix
+    h = build_hamiltonian()
     total_checks = 0
     for delta in (1e-3, 1e-2):
         for i in range(100):

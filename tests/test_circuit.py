@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from weakdetect import circuit
 from weakdetect.circuit import (
+    DIM,
     HADAMARD,
+    N_QUBITS,
     CircuitSpec,
     Gate,
     assemble_unitary,
@@ -15,9 +18,71 @@ from weakdetect.circuit import (
     x_rotation,
 )
 from weakdetect.protocol import build_hamiltonian
-from weakdetect.qmat import expm_hermitian
 
 EPSILONS = (1e-3, 0.1, 1.0)
+# Closed forms are exact for every coupling, not just weak ones.
+CLOSED_FORM_EPSILONS = (0.0, 1e-3, 0.1, 1.0, np.pi / 2, 2.0)
+
+SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
+
+
+def expm_hermitian(a, scale):
+    """exp(scale * A) for Hermitian A, from its eigendecomposition: the
+    reference the closed forms cos(eps) 1 - i sin(eps) A are checked against."""
+    w, v = np.linalg.eigh(a)
+    return (v * np.exp(complex(scale) * w)) @ v.conj().T
+
+
+def reference_embed_gate(gate):
+    """Per-column embedding of a gate into the 16-dimensional unitary: the
+    oracle for ``embed_gate``. Column ``col`` is left alone unless every
+    control matches; then its target bits are read in target order and the
+    gate's column is scattered to the rows with those bits rewritten."""
+    def bit(state, qubit):
+        return (state >> (N_QUBITS - 1 - qubit)) & 1
+
+    def set_bits(state, local):
+        for pos, qubit in enumerate(gate.targets):
+            bitval = (local >> (len(gate.targets) - 1 - pos)) & 1
+            mask = 1 << (N_QUBITS - 1 - qubit)
+            state = (state | mask) if bitval else (state & ~mask)
+        return state
+
+    full = np.zeros((DIM, DIM), dtype=complex)
+    for col in range(DIM):
+        if any(bit(col, q) != v for q, v in gate.controls):
+            full[col, col] = 1.0
+            continue
+        local_in = 0
+        for qubit in gate.targets:
+            local_in = (local_in << 1) | bit(col, qubit)
+        for local_out in range(len(gate.matrix)):
+            full[set_bits(col, local_out), col] += gate.matrix[local_out, local_in]
+    return full
+
+
+def random_unitary(seed, d):
+    g = np.random.default_rng(seed).standard_normal((2, d, d))
+    q, r = np.linalg.qr(g[0] + 1j * g[1])
+    return q * (np.diag(r) / np.abs(np.diag(r)))
+
+
+class TestClosedForms:
+    @pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
+    def test_x_rotation(self, eps):
+        assert np.max(np.abs(x_rotation(eps) - expm_hermitian(SIGMA_X, -1j * eps))) <= 1e-12
+
+    @pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
+    def test_xx_block(self, eps):
+        # the |11> block of U is exp(-i eps X(x)X)
+        block = weak_interaction_unitary(eps)[12:, 12:]
+        expected = expm_hermitian(np.kron(SIGMA_X, SIGMA_X), -1j * eps)
+        assert np.max(np.abs(block - expected)) <= 1e-12
+
+    @pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
+    def test_hamiltonian_exponential(self, eps):
+        closed = circuit._exp_involution(build_hamiltonian(), eps)
+        assert np.max(np.abs(closed - expm_hermitian(build_hamiltonian(), -1j * eps))) <= 1e-12
 
 
 class TestWeakInteractionUnitary:
@@ -28,10 +93,10 @@ class TestWeakInteractionUnitary:
         u = weak_interaction_unitary(0.37)
         assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-12
 
-    @pytest.mark.parametrize("eps", EPSILONS)
+    @pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
     def test_matches_hamiltonian_exponential(self, eps):
         u = weak_interaction_unitary(eps)
-        expected = expm_hermitian(build_hamiltonian().matrix, -1j * eps)
+        expected = expm_hermitian(build_hamiltonian(), -1j * eps)
         assert np.max(np.abs(u - expected)) <= 1e-12
         assert unitary_vs_hamiltonian(eps) <= 1e-12
 
@@ -105,11 +170,30 @@ class TestEmbedGate:
         np.testing.assert_allclose(embed_gate(gate), expected, atol=1e-14)
 
     def test_two_qubit_target(self):
-        rxx = expm_hermitian(
-            np.kron([[0, 1], [1, 0]], [[0, 1], [1, 0]]).astype(complex), -0.3j
-        )
+        rxx = expm_hermitian(np.kron(SIGMA_X, SIGMA_X), -0.3j)
         gate = Gate("RXX", (2, 3), rxx)
         np.testing.assert_allclose(embed_gate(gate), np.kron(np.eye(4), rxx), atol=1e-14)
+
+    @pytest.mark.parametrize("targets, controls", [
+        ((3, 0), ()),
+        ((1, 3), ()),
+        ((3, 0), ((1, 1), (2, 0))),
+        ((1, 3), ((0, 0), (2, 1))),
+        ((2, 0), ((3, 1),)),
+        ((1,), ((0, 1), (2, 0), (3, 1))),
+        ((0,), ((3, 0),)),
+        ((), ((0, 1), (2, 0))),  # a controlled global phase
+    ], ids=str)
+    def test_matches_per_column_reference(self, targets, controls):
+        # asymmetric gates, so a reversed or permuted target order shows
+        gate = Gate("U", targets, random_unitary(len(targets) + 7 * len(controls), 2 ** len(targets)),
+                    controls=controls)
+        assert np.max(np.abs(embed_gate(gate) - reference_embed_gate(gate))) <= 1e-15
+
+    @pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
+    def test_detection_gates_match_per_column_reference(self, eps):
+        for gate in build_detection_circuit(eps).gates:
+            assert np.max(np.abs(embed_gate(gate) - reference_embed_gate(gate))) <= 1e-15
 
     def test_embedding_is_unitary(self):
         for gate in build_detection_circuit(0.7).gates:
@@ -120,6 +204,15 @@ class TestEmbedGate:
         bad = Gate("BAD", (0,), np.array([[1, 0], [0, 2]], dtype=complex))
         with pytest.raises(ValueError):
             embed_gate(bad)
+
+    def test_rejects_non_finite(self):
+        bad = Gate("NAN", (0,), np.array([[np.nan, 0], [0, 1]], dtype=complex))
+        with pytest.raises(ValueError, match="not unitary"):
+            embed_gate(bad)
+
+    def test_rejects_repeated_target(self):
+        with pytest.raises(ValueError, match="repeated target"):
+            embed_gate(Gate("RXX", (2, 2), np.eye(4, dtype=complex)))
 
     def test_rejects_control_overlapping_target(self):
         gate = Gate("RX", (2,), x_rotation(0.1), controls=((2, 1),))

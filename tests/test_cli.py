@@ -9,7 +9,6 @@ import pytest
 
 import weakdetect.cli as cli
 from weakdetect.cli import main
-from weakdetect.protocol import OracleMismatchError
 from weakdetect.states import bell_phi_plus, state_to_json_dict, validate, werner
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
@@ -289,13 +288,6 @@ class TestExitCodes:
         path.write_text(json.dumps({"matrix": matrix}))
         assert main(["detect", "--input", str(path)]) == 2
 
-    def test_internal_assertion_exits_3(self, capsys, bell_file, monkeypatch):
-        def boom(*args, **kwargs):
-            raise OracleMismatchError("forced mismatch")
-
-        monkeypatch.setattr(cli.protocol, "detect", boom)
-        assert main(["detect", "--input", bell_file]) == 3
-
 
 class TestDeterminism:
     def test_benchmark_byte_identical(self, tmp_path):
@@ -313,3 +305,29 @@ class TestDeterminism:
         runs = [subprocess.run(cmd, capture_output=True, env=env, check=True)
                 for _ in range(2)]
         assert runs[0].stdout == runs[1].stdout
+
+
+class TestNoKernelLayer:
+    def test_commands_do_not_load_qmat(self, werner_file, product_amplitudes_file):
+        # qmat is an empty stub until the benchmark stops importing it: no
+        # command may load it, and it must not grow public names again
+        script = "\n".join([
+            "import sys",
+            "from weakdetect.cli import COMMANDS, main",
+            f"werner, pure = {werner_file!r}, {product_amplitudes_file!r}",
+            "argvs = [['validate', '--input', werner], ['detect', '--input', werner],",
+            "         ['detect-pure', '--input', pure], ['tomo', '--input', werner],",
+            "         ['pointer-sim', '--input', werner, '--grid-n', '256', '--grid-l', '20'],",
+            "         ['circuit-verify'], ['robustness', '--input', werner, '--trials', '3'],",
+            "         ['benchmark', '--trials', '3']]",
+            "assert sorted(argv[0] for argv in argvs) == sorted(COMMANDS)",
+            "codes = [main(argv) for argv in argvs]",
+            "print(codes, 'weakdetect.qmat' in sys.modules)",
+        ])
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == f"{[0] * 8} False"
+        import weakdetect.qmat as qmat
+        assert [name for name in vars(qmat) if not name.startswith("_")] == []

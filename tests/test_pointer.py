@@ -37,7 +37,7 @@ def ensemble_moment_table(rho, cfg):
     """Reference for moment_table: evolve each branch of the eigen-ensemble
     of rho x rho with the pointer, post-select, and sum the branches' moments
     on the grid, with one FFT per branch and outcome."""
-    h = build_hamiltonian().matrix
+    h = build_hamiltonian()
     branches = _ensemble(np.kron(rho.matrix, rho.matrix))
     phi_in = gaussian_pointer(cfg.sigma, cfg.grid)
     phi_plus = translate(phi_in, +cfg.epsilon).amplitudes

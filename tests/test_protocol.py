@@ -3,24 +3,20 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weakdetect.protocol import (
+    OUTCOME_RATIO_INDEX,
     DecisionPath,
-    HamiltonianKind,
     NoSignalError,
-    OracleMismatchError,
-    RatioSet,
     TAU_DEN,
     TAU_DIAG,
     TAU_WV,
     WeakValueSet,
+    _bracket_terms,
     build_hamiltonian,
     build_local_hamiltonian,
-    det_bracket,
-    det_bracket_terms,
     detect,
     detect_batch,
     detect_pure_local,
     diagonals_from_postselection,
-    element_ratio,
     exact_weak_value,
     reconstruct,
     reconstruct_batch,
@@ -58,6 +54,20 @@ RATIO_ORACLE = {
     15: lambda m: m[1, 2] / m[2, 2].real,
     16: lambda m: m[0, 3] / m[3, 3].real,
 }
+
+
+def oracle_ratios(m):
+    """(16,) ratios from RATIO_ORACLE, outcome k at index k - 1 (0 at the
+    redundant outcomes 5-8, which no bracket term reads)."""
+    ratios = np.zeros(16, dtype=complex)
+    for k, oracle in RATIO_ORACLE.items():
+        ratios[k - 1] = oracle(m)
+    return ratios
+
+
+def oracle_bracket_terms(m):
+    """The 24 bracket terms of ``detect_batch`` fed with oracle ratios."""
+    return _bracket_terms(oracle_ratios(m)[None], np.diag(m).real[None])[0]
 
 
 def element_terms(m):
@@ -102,22 +112,23 @@ def basis_state(i):
 
 class TestBuildHamiltonian:
     def test_flip_amplitudes(self):
-        h = build_hamiltonian().matrix
+        h = build_hamiltonian()
+        assert not h.flags.writeable
         # |0000> -> |0001| block flips the last qubit
         assert h[1, 0] == 1
         # |1111> -> |1100|: the |11> block flips both second-copy qubits
         assert h[12, 15] == 1
 
     def test_squares_to_identity(self):
-        h = build_hamiltonian().matrix
+        h = build_hamiltonian()
         np.testing.assert_allclose(h @ h, np.eye(16), atol=1e-15)
 
     def test_hermitian(self):
-        h = build_hamiltonian().matrix
+        h = build_hamiltonian()
         np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
 
     def test_block_structure(self):
-        h = build_hamiltonian().matrix
+        h = build_hamiltonian()
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         eye2 = np.eye(2)
         np.testing.assert_allclose(h[0:4, 0:4], np.kron(eye2, sx))
@@ -131,10 +142,10 @@ class TestBuildHamiltonian:
 
     def test_local_hamiltonian(self):
         h = build_local_hamiltonian()
-        assert h.kind is HamiltonianKind.PURE_LOCAL
+        assert not h.flags.writeable
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
-        np.testing.assert_allclose(h.matrix, np.kron(np.eye(8), sx))
-        np.testing.assert_allclose(h.matrix @ h.matrix, np.eye(16), atol=1e-15)
+        np.testing.assert_allclose(h, np.kron(np.eye(8), sx))
+        np.testing.assert_allclose(h @ h, np.eye(16), atol=1e-15)
 
 
 class TestExactWeakValue:
@@ -195,15 +206,15 @@ class TestWeakValuesAll:
         assert wv.probabilities[6] == 0.0
         assert wv.probabilities[16] == pytest.approx(0.25)
 
-    def test_oracle_mismatch_detected(self, monkeypatch):
-        rho = random_mixed(4)
-        import weakdetect.protocol as proto
-
-        broken = dict(proto.OUTCOME_RATIO_INDEX)
-        broken[2] = (0, 2, 1)  # wrong element for outcome 2
-        monkeypatch.setattr(proto, "OUTCOME_RATIO_INDEX", broken)
-        with pytest.raises(OracleMismatchError):
-            weak_values_all(rho)
+    @given(seeds)
+    def test_ratio_table_matches_oracle(self, seed):
+        # OUTCOME_RATIO_INDEX is derived from PERM; read off the matrix it
+        # must name the element ratio of RATIO_ORACLE, and outcomes 5-8
+        # must repeat 1-4
+        m = random_mixed(seed).matrix
+        for k, (row, col, diag) in OUTCOME_RATIO_INDEX.items():
+            want = RATIO_ORACLE[k if k in RATIO_ORACLE else k - 4](m)
+            assert abs(m[row, col] / m[diag, diag].real - want) <= 1e-12 * (1 + abs(want))
 
 
 class TestDiagonalsFromPostselection:
@@ -237,7 +248,7 @@ class TestDetBracket:
     def test_matches_determinant(self, seed):
         rho = random_mixed(seed)
         diag = rho.diagonal()
-        bracket = det_bracket(RatioSet.from_state(rho), diag)
+        bracket = oracle_bracket_terms(rho.matrix).sum().real
         pqrs = np.prod(diag)
         lu = det_ptb(rho)
         assert abs(bracket * pqrs - lu) <= 1e-10 * max(abs(lu), pqrs)
@@ -245,16 +256,14 @@ class TestDetBracket:
     @given(seeds)
     def test_ratio_route_equals_element_route(self, seed):
         rho = random_mixed(seed)
-        wv = weak_values_all(rho)
-        diag = diagonals_from_postselection(rho)
-        via_wv = det_bracket(RatioSet.from_weak_values(wv), diag)
-        via_elements = det_bracket(RatioSet.from_state(rho), rho.diagonal())
+        via_wv = detect_batch(rho.matrix[None]).det_scaled[0]
+        via_elements = oracle_bracket_terms(rho.matrix).sum().real
         assert via_wv == pytest.approx(via_elements, rel=1e-9, abs=1e-12)
 
     def test_term_table_audit(self):
         """Each documented term must equal its direct element expression."""
         rho = random_mixed(99)
-        terms = det_bracket_terms(RatioSet.from_state(rho), rho.diagonal())
+        terms = oracle_bracket_terms(rho.matrix)
         expected = element_terms(rho.matrix)
         assert len(terms) == 24
         for got, want in zip(terms, expected):
@@ -542,11 +551,6 @@ class TestDetectPureLocal:
         report = detect_pure_local(PureAmplitudes(1e-3, 1e-3, 0.6, d))
         assert report.verdict is Verdict.ENTANGLED
         assert report.weak_values == {}
-
-
-def test_element_ratio_no_signal(bell):
-    with pytest.raises(NoSignalError):
-        element_ratio(bell, 14)  # q = 0
 
 
 def test_case_thresholds_respected():

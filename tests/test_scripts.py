@@ -30,9 +30,22 @@ def test_script_runs(script, args, header):
     assert len(lines) > 1
 
 
-def test_sweep_rejects_negative_trials():
-    run = run_script("robustness_sweep.py", ["--trials", "-1"])
+BAD_INPUT = [
+    ("robustness_sweep.py", ["--trials", "-1"], "trials must be non-negative, got -1"),
+    ("robustness_sweep.py", ["--seed", "-1"], "--seed must be non-negative, got -1"),
+    ("robustness_sweep.py", ["--state-seed", "-1"], "--state-seed must be non-negative, got -1"),
+    ("pointer_convergence.py", ["--seed", "-1"], "--seed must be non-negative, got -1"),
+    ("pointer_convergence.py", ["--steps", "-1"], "--steps must be non-negative, got -1"),
+    ("pointer_convergence.py", ["--epsilon", "0"], "readout needs epsilon > 0"),
+    ("pointer_convergence.py", ["--epsilon", "nan"], "epsilon must be in [0, 0.1], got nan"),
+]
+
+
+@pytest.mark.parametrize("script, args, message", BAD_INPUT,
+                         ids=[" ".join([script, *args]) for script, args, _ in BAD_INPUT])
+def test_script_rejects_bad_input(script, args, message):
+    # one error line and no traceback, before anything is printed
+    run = run_script(script, args)
     assert run.returncode == 1
     assert run.stdout == ""
-    assert run.stderr.splitlines() == [
-        "robustness_sweep.py: error: trials must be non-negative, got -1"]
+    assert run.stderr.splitlines() == [f"{script}: error: {message}"]
