@@ -19,18 +19,11 @@ from weakdetect.circuit import (
 )
 from weakdetect.protocol import build_hamiltonian
 
+from conftest import SIGMA_X, expm_hermitian
+
 EPSILONS = (1e-3, 0.1, 1.0)
 # Closed forms are exact for every coupling, not just weak ones.
 CLOSED_FORM_EPSILONS = (0.0, 1e-3, 0.1, 1.0, np.pi / 2, 2.0)
-
-SIGMA_X = np.array([[0, 1], [1, 0]], dtype=complex)
-
-
-def expm_hermitian(a, scale):
-    """exp(scale * A) for Hermitian A, from its eigendecomposition: the
-    reference the closed forms cos(eps) 1 - i sin(eps) A are checked against."""
-    w, v = np.linalg.eigh(a)
-    return (v * np.exp(complex(scale) * w)) @ v.conj().T
 
 
 def reference_embed_gate(gate):

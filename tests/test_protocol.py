@@ -553,6 +553,13 @@ class TestDetectPureLocal:
         assert report.weak_values == {}
 
 
+def test_element_ratio_no_signal(bell):
+    # outcome 14 measures conj(rho[1, 2]) / q, and q = 0 for |Phi+>
+    with pytest.raises(NoSignalError):
+        exact_weak_value(bell, build_hamiltonian(), 14)
+    assert 14 not in weak_values_all(bell).values
+
+
 def test_case_thresholds_respected():
     # diagonal entries just above TAU_DIAG still route to the general path
     m = np.diag([0.5 - 1e-6, 1e-6, 1e-6, 0.5 - 1e-6]).astype(complex)

@@ -1,21 +1,11 @@
+"""Checks of the matrix references the other tests compare the program
+against: the ``eigh`` exponential and the singular-value trace norm. They
+replaced the ``weakdetect.qmat`` wrappers of the same names."""
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weakdetect import qmat
-from weakdetect.qmat import (
-    HermiticityError,
-    ShapeError,
-    adjoint,
-    determinant,
-    expm_hermitian,
-    hermitian_eigen,
-    kron,
-    matmul,
-    trace_norm,
-)
-
-from conftest import SIGMA_X, SIGMA_Y, SIGMA_Z
+from conftest import SIGMA_X, SIGMA_Z, expm_hermitian, trace_norm
 
 I2 = np.eye(2, dtype=complex)
 
@@ -23,155 +13,6 @@ I2 = np.eye(2, dtype=complex)
 def random_complex(rng, n, m=None):
     m = n if m is None else m
     return rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-
-
-def bell_ptb():
-    """Partial transpose of |Phi+><Phi+|, written out by hand."""
-    m = np.zeros((4, 4), dtype=complex)
-    m[0, 0] = m[3, 3] = 0.5
-    m[1, 2] = m[2, 1] = 0.5
-    return m
-
-
-def char_poly_roots(a):
-    """Brute-force eigenvalues: characteristic polynomial coefficients by the
-    trace recursion (Faddeev-LeVerrier), roots via the companion matrix."""
-    n = a.shape[0]
-    coeffs = [1.0 + 0.0j]
-    mk = np.zeros_like(a)
-    for k in range(1, n + 1):
-        mk = a @ mk + coeffs[-1] * np.eye(n)
-        coeffs.append(-np.trace(a @ mk) / k)
-    return np.sort(np.roots(coeffs).real)
-
-
-class TestMatmul:
-    def test_identity(self):
-        np.testing.assert_allclose(matmul(I2, SIGMA_X), SIGMA_X)
-
-    def test_involution(self):
-        np.testing.assert_allclose(matmul(SIGMA_X, SIGMA_X), I2)
-
-    def test_hand_product(self):
-        # sigma_x sigma_z multiplied out by hand
-        expected = np.array([[0, -1], [1, 0]], dtype=complex)
-        np.testing.assert_allclose(matmul(SIGMA_X, SIGMA_Z), expected)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ShapeError):
-            matmul(np.ones((2, 3)), np.ones((2, 2)))
-
-    def test_rejects_nan(self):
-        bad = np.array([[np.nan, 0], [0, 1]])
-        with pytest.raises(ValueError):
-            matmul(bad, I2)
-
-
-class TestKron:
-    def test_identity_sigma_x_block_structure(self):
-        k = kron(I2, SIGMA_X)
-        assert k[0, 1] == 1 and k[2, 3] == 1
-        assert k[0, 2] == 0
-
-    def test_sigma_x_identity_block_structure(self):
-        assert kron(SIGMA_X, I2)[0, 2] == 1
-
-    def test_diagonal_product(self):
-        p, q, r, s = 0.4, 0.3, 0.2, 0.1
-        d = np.diag([p, q, r, s]).astype(complex)
-        got = np.diag(kron(d, d)).real
-        np.testing.assert_allclose(got[:4], [p * p, p * q, p * r, p * s])
-
-    @given(st.integers(0, 10**6))
-    def test_mixed_product_property(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = random_complex(rng, 2), random_complex(rng, 3)
-        c, d = random_complex(rng, 2), random_complex(rng, 3)
-        lhs = matmul(kron(a, b), kron(c, d))
-        rhs = kron(matmul(a, c), matmul(b, d))
-        assert np.max(np.abs(lhs - rhs)) <= 1e-12 * max(1.0, np.max(np.abs(rhs)))
-
-
-class TestAdjoint:
-    def test_sigma_y_hermitian(self):
-        np.testing.assert_allclose(adjoint(SIGMA_Y), SIGMA_Y)
-
-    def test_shift_matrix(self):
-        shift = np.array([[0, 1], [0, 0]], dtype=complex)
-        np.testing.assert_allclose(adjoint(shift), np.array([[0, 0], [1, 0]]))
-
-    @given(st.integers(0, 10**6))
-    def test_involution(self, seed):
-        a = random_complex(np.random.default_rng(seed), 4)
-        np.testing.assert_allclose(adjoint(adjoint(a)), a)
-
-
-class TestDeterminant:
-    def test_identity(self):
-        assert determinant(np.eye(4)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert determinant(np.eye(4) / 4).real == pytest.approx(1 / 256)
-
-    def test_bell_partial_transpose(self):
-        # oracle: product of eigenvalues from the independent eigen-solver
-        eigs, _ = hermitian_eigen(bell_ptb())
-        np.testing.assert_allclose(np.sort(eigs), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
-        assert determinant(bell_ptb()).real == pytest.approx(np.prod(eigs), abs=1e-14)
-        assert determinant(bell_ptb()).real == pytest.approx(-1 / 16, abs=1e-14)
-
-    def test_non_square(self):
-        with pytest.raises(ShapeError):
-            determinant(np.ones((2, 3)))
-
-    @given(st.integers(0, 10**6))
-    def test_multiplicative(self, seed):
-        rng = np.random.default_rng(seed)
-        a, b = random_complex(rng, 4), random_complex(rng, 4)
-        lhs = determinant(matmul(a, b))
-        rhs = determinant(a) * determinant(b)
-        assert abs(lhs - rhs) <= 1e-10 * abs(rhs)
-
-    def test_hermitian_imaginary_residue(self):
-        rng = np.random.default_rng(0)
-        a = random_complex(rng, 4)
-        herm = (a + a.conj().T) / 2
-        d = determinant(herm)
-        assert abs(d.imag) <= 1e-12 * max(1.0, abs(d))
-
-
-class TestHermitianEigen:
-    def test_sigma_x_spectrum(self):
-        eigs, _ = hermitian_eigen(SIGMA_X)
-        np.testing.assert_allclose(eigs, [-1, 1], atol=1e-14)
-
-    def test_bell_ptb_spectrum_vs_char_poly(self):
-        eigs, _ = hermitian_eigen(bell_ptb())
-        # companion-matrix roots lose ~cube-root precision at the triple root
-        np.testing.assert_allclose(np.sort(eigs), char_poly_roots(bell_ptb()), atol=1e-4)
-        np.testing.assert_allclose(np.sort(eigs), [-0.5, 0.5, 0.5, 0.5], atol=1e-12)
-
-    def test_diagonal(self):
-        eigs, _ = hermitian_eigen(np.diag([1.0, 2.0, 3.0]).astype(complex))
-        np.testing.assert_allclose(eigs, [1, 2, 3], atol=1e-14)
-
-    def test_ascending_order(self):
-        rng = np.random.default_rng(3)
-        a = random_complex(rng, 5)
-        eigs, _ = hermitian_eigen((a + a.conj().T) / 2)
-        assert np.all(np.diff(eigs) >= 0)
-
-    def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
-            hermitian_eigen(np.array([[0, 1], [0, 0]], dtype=complex))
-
-    @given(st.integers(0, 10**6))
-    def test_reconstruction(self, seed):
-        a = random_complex(np.random.default_rng(seed), 6)
-        herm = (a + a.conj().T) / 2
-        eigs, vecs = hermitian_eigen(herm)
-        rebuilt = (vecs * eigs) @ vecs.conj().T
-        assert np.max(np.abs(rebuilt - herm)) <= 1e-10
 
 
 class TestTraceNorm:
@@ -186,7 +27,7 @@ class TestTraceNorm:
         assert trace_norm(h - h) == pytest.approx(0.0, abs=1e-15)
 
     def test_non_square(self):
-        with pytest.raises(ShapeError):
+        with pytest.raises(ValueError):
             trace_norm(np.ones((2, 3)))
 
     def test_general_matrix_matches_singular_values(self):
@@ -215,7 +56,7 @@ class TestExpmHermitian:
 
     def test_xx_closed_form(self):
         eps = 0.1
-        xx = kron(SIGMA_X, SIGMA_X)
+        xx = np.kron(SIGMA_X, SIGMA_X)
         expected = np.cos(eps) * np.eye(4) - 1j * np.sin(eps) * xx
         np.testing.assert_allclose(expm_hermitian(xx, -1j * eps), expected, atol=1e-14)
 
@@ -235,11 +76,6 @@ class TestExpmHermitian:
         assert np.max(np.abs(prod - np.eye(4))) <= 1e-12
 
     def test_rejects_non_hermitian(self):
-        with pytest.raises(HermiticityError):
+        # eigh would read one triangle and return a wrong exponential
+        with pytest.raises(ValueError):
             expm_hermitian(np.array([[0, 1], [0, 0]], dtype=complex), -1j)
-
-
-def test_is_hermitian_tolerance():
-    a = SIGMA_X + 1e-12 * np.array([[0, 1j], [0, 0]])
-    assert qmat.is_hermitian(a)
-    assert not qmat.is_hermitian(SIGMA_X + 1e-8 * np.array([[0, 1j], [0, 0]]))

@@ -7,15 +7,11 @@ from weakdetect.protocol import NoSignalError, build_hamiltonian, exact_weak_val
 from weakdetect.robustness import RankDeficientError, bound_check, perturbations
 from weakdetect.states import random_mixed, werner
 
+from conftest import trace_norm
+
 seeds = st.integers(0, 10**6)
 
 H = build_hamiltonian()
-
-
-def trace_norm(a):
-    """Sum of singular values: the trace norm by its definition, independent
-    of the batched ``eigvalsh`` the program rescales with."""
-    return float(np.linalg.svd(a, compute_uv=False).sum())
 
 
 def draw(delta, seed):

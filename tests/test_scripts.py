@@ -30,8 +30,15 @@ def test_script_runs(script, args, header):
     assert len(lines) > 1
 
 
+def test_sweep_rejects_negative_trials():
+    run = run_script("robustness_sweep.py", ["--trials", "-1"])
+    assert run.returncode == 1
+    assert run.stdout == ""
+    assert run.stderr.splitlines() == [
+        "robustness_sweep.py: error: trials must be non-negative, got -1"]
+
+
 BAD_INPUT = [
-    ("robustness_sweep.py", ["--trials", "-1"], "trials must be non-negative, got -1"),
     ("robustness_sweep.py", ["--seed", "-1"], "--seed must be non-negative, got -1"),
     ("robustness_sweep.py", ["--state-seed", "-1"], "--state-seed must be non-negative, got -1"),
     ("pointer_convergence.py", ["--seed", "-1"], "--seed must be non-negative, got -1"),
