@@ -20,17 +20,6 @@ EXIT_OK = 0
 EXIT_IO = 1
 EXIT_INVALID_STATE = 2
 
-COMMANDS = (
-    "validate",
-    "detect",
-    "detect-pure",
-    "tomo",
-    "pointer-sim",
-    "circuit-verify",
-    "robustness",
-    "benchmark",
-)
-
 _NEEDS_INPUT = {"validate", "detect", "detect-pure", "tomo", "pointer-sim", "robustness"}
 
 CIRCUIT_EPSILONS = (1e-3, 1e-2, 0.1, 0.5, 1.0)
@@ -71,21 +60,21 @@ def _non_negative(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Every command takes the same flags, so one flat parser serves them all;
+    # flags may come before or after the command.
     parser = _Parser(prog="weakdetect", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--input", dest="input_path", metavar="PATH", default=None)
-        p.add_argument("--epsilon", type=_finite, default=1e-3)
-        p.add_argument("--sigma", type=_finite, default=1.0)
-        p.add_argument("--grid-n", type=int, default=4096)
-        p.add_argument("--grid-l", type=_finite, default=40.0)
-        p.add_argument("--seed", type=_count, default=0)
-        p.add_argument("--trials", type=_count, default=1000)
-        p.add_argument("--delta", type=_non_negative, default=1e-2)
-        p.add_argument("--tol-det", dest="tol_det", type=_non_negative, default=None)
-        p.add_argument("--format", dest="output", choices=("json", "text", "csv"),
-                       default="json")
+    parser.add_argument("command", choices=COMMANDS)
+    parser.add_argument("--input", dest="input_path", metavar="PATH", default=None)
+    parser.add_argument("--epsilon", type=_finite, default=1e-3)
+    parser.add_argument("--sigma", type=_finite, default=1.0)
+    parser.add_argument("--grid-n", type=int, default=4096)
+    parser.add_argument("--grid-l", type=_finite, default=40.0)
+    parser.add_argument("--seed", type=_count, default=0)
+    parser.add_argument("--trials", type=_count, default=1000)
+    parser.add_argument("--delta", type=_non_negative, default=1e-2)
+    parser.add_argument("--tol-det", dest="tol_det", type=_non_negative, default=None)
+    parser.add_argument("--format", dest="output", choices=("json", "text", "csv"),
+                        default="json")
     return parser
 
 
@@ -299,6 +288,7 @@ _HANDLERS = {
     "robustness": cmd_robustness,
     "benchmark": cmd_benchmark,
 }
+COMMANDS = tuple(_HANDLERS)
 
 
 def _flatten(doc, prefix: str = "") -> list[tuple[str, object]]:
@@ -333,10 +323,8 @@ def main(argv: list[str] | None = None) -> int:
         if args.command in _NEEDS_INPUT and args.input_path is None:
             raise _UsageError(f"{args.command} requires --input PATH")
         doc, rows, code = _HANDLERS[args.command](args)
-    except _UsageError as exc:
-        print(f"weakdetect: error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except (OSError, json.JSONDecodeError, states.SchemaError) as exc:
+    except (_UsageError, OSError, UnicodeDecodeError, json.JSONDecodeError,
+            states.SchemaError) as exc:
         print(f"weakdetect: error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (states.StateValidationError, robustness.RankDeficientError,

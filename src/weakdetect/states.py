@@ -18,6 +18,7 @@ random-state generators.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -131,7 +132,10 @@ class PureAmplitudes:
     d: complex
 
     def __post_init__(self) -> None:
-        norm = abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + abs(self.d) ** 2
+        try:
+            norm = abs(self.a) ** 2 + abs(self.b) ** 2 + abs(self.c) ** 2 + abs(self.d) ** 2
+        except OverflowError:  # a finite amplitude whose square exceeds the float range
+            norm = math.inf
         if not np.isfinite(norm) or abs(norm - 1.0) > VALIDATION_ATOL:
             raise NormalizationError(f"|a|^2+|b|^2+|c|^2+|d|^2 = {norm!r}, expected 1")
 

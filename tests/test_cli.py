@@ -1,4 +1,6 @@
+import argparse
 import json
+import math
 import os
 import subprocess
 import sys
@@ -34,6 +36,27 @@ def product_amplitudes_file(tmp_path):
     s = 1 / np.sqrt(2)
     path.write_text(json.dumps({"amplitudes": [[s, 0.0], [0.0, 0.0], [s, 0.0], [0.0, 0.0]]}))
     return str(path)
+
+
+# Each fails once --input names a valid state: at parse time or in the
+# pointer module's own range checks.
+BAD_NUMERIC_ARGVS = [
+    ["robustness", "--delta", "-1"],
+    ["robustness", "--delta", "nan"],
+    ["robustness", "--delta", "inf"],
+    ["pointer-sim", "--epsilon", "0.5"],
+    ["pointer-sim", "--epsilon", "0"],
+    ["pointer-sim", "--sigma", "0"],
+    ["pointer-sim", "--sigma", "5"],
+    ["pointer-sim", "--grid-n", "100"],
+    ["pointer-sim", "--grid-l", "inf"],
+    ["circuit-verify", "--epsilon", "nan"],
+    ["detect", "--tol-det", "nan"],
+    ["benchmark", "--tol-det", "nan"],
+    ["benchmark", "--tol-det", "-1"],
+    ["benchmark", "--seed", "-1"],
+    ["robustness", "--seed", "-1"],
+]
 
 
 def run_main(capsys, argv):
@@ -104,6 +127,19 @@ class TestDetectPure:
         path.write_text(json.dumps({"amplitudes": [[1.0, 0.0]] * 4}))
         code, _ = run_main(capsys, ["detect-pure", "--input", str(path)])
         assert code == 2
+
+    @pytest.mark.parametrize("pair, norm", [
+        ([1e200, 0.0], "inf"),               # finite, but its square overflows
+        ([1.7e308, 1.7e308], "inf"),         # finite parts, but |a| overflows
+        ([float("inf"), 0.0], "inf"),
+        ([float("nan"), 0.0], "nan"),
+    ], ids=["1e200", "abs-overflow", "Infinity", "NaN"])
+    def test_non_finite_norm_exits_2(self, capsys, tmp_path, pair, norm):
+        path = tmp_path / "amp.json"
+        path.write_text(json.dumps({"amplitudes": [pair, [0.0, 0.0], [0.0, 0.0], [0.0, 0.0]]}))
+        assert main(["detect-pure", "--input", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err == f"weakdetect: invalid state: |a|^2+|b|^2+|c|^2+|d|^2 = {norm}, expected 1\n"
 
 
 class TestTomo:
@@ -254,23 +290,7 @@ class TestExitCodes:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 1
 
-    @pytest.mark.parametrize("argv", [
-        ["robustness", "--delta", "-1"],
-        ["robustness", "--delta", "nan"],
-        ["robustness", "--delta", "inf"],
-        ["pointer-sim", "--epsilon", "0.5"],
-        ["pointer-sim", "--epsilon", "0"],
-        ["pointer-sim", "--sigma", "0"],
-        ["pointer-sim", "--sigma", "5"],
-        ["pointer-sim", "--grid-n", "100"],
-        ["pointer-sim", "--grid-l", "inf"],
-        ["circuit-verify", "--epsilon", "nan"],
-        ["detect", "--tol-det", "nan"],
-        ["benchmark", "--tol-det", "nan"],
-        ["benchmark", "--tol-det", "-1"],
-        ["benchmark", "--seed", "-1"],
-        ["robustness", "--seed", "-1"],
-    ], ids=" ".join)
+    @pytest.mark.parametrize("argv", BAD_NUMERIC_ARGVS, ids=" ".join)
     def test_bad_numeric_flag_exits_1(self, capsys, werner_file, argv):
         assert main([*argv, "--input", werner_file]) == 1
         captured = capsys.readouterr()
@@ -278,6 +298,16 @@ class TestExitCodes:
         errors = [line for line in captured.err.splitlines() if "error:" in line]
         assert len(errors) == 1 and errors[0].startswith("weakdetect: error: ")
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", sorted(cli._NEEDS_INPUT))
+    def test_non_utf8_input_exits_1(self, capsys, tmp_path, command):
+        path = tmp_path / "utf16.json"
+        path.write_bytes(b"\xff\xfe{\x00}\x00")
+        assert main([command, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("weakdetect: error: ")
+        assert len(captured.err.splitlines()) == 1
 
     def test_nan_entries_exit_2(self, capsys, tmp_path):
         # json.loads accepts the NaN literal; it must not escape as a crash
@@ -331,3 +361,158 @@ class TestNoKernelLayer:
         assert run.stdout.splitlines()[-1] == f"{[0] * 8} False"
         import weakdetect.qmat as qmat
         assert [name for name in vars(qmat) if not name.startswith("_")] == []
+
+
+# --- the parser ---------------------------------------------------------------
+#
+# The eight-subparser parser that the flat one replaced, kept as the reference
+# for what each argv parses to and which argvs fail.
+
+ORACLE_COMMANDS = ("validate", "detect", "detect-pure", "tomo", "pointer-sim",
+                   "circuit-verify", "robustness", "benchmark")
+
+
+class _OracleParser(argparse.ArgumentParser):
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"weakdetect: error: {message}\n")
+
+
+def _oracle_count(text):
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {value}")
+    return value
+
+
+def _oracle_finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+def _oracle_non_negative(text):
+    value = _oracle_finite(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be non-negative, got {text}")
+    return value
+
+
+def oracle_parser():
+    parser = _OracleParser(prog="weakdetect", description=cli.__doc__)
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name in ORACLE_COMMANDS:
+        p = sub.add_parser(name)
+        p.add_argument("--input", dest="input_path", metavar="PATH", default=None)
+        p.add_argument("--epsilon", type=_oracle_finite, default=1e-3)
+        p.add_argument("--sigma", type=_oracle_finite, default=1.0)
+        p.add_argument("--grid-n", type=int, default=4096)
+        p.add_argument("--grid-l", type=_oracle_finite, default=40.0)
+        p.add_argument("--seed", type=_oracle_count, default=0)
+        p.add_argument("--trials", type=_oracle_count, default=1000)
+        p.add_argument("--delta", type=_oracle_non_negative, default=1e-2)
+        p.add_argument("--tol-det", dest="tol_det", type=_oracle_non_negative, default=None)
+        p.add_argument("--format", dest="output", choices=("json", "text", "csv"),
+                       default="json")
+    return parser
+
+
+FLAGS = ("--input", "--epsilon", "--sigma", "--grid-n", "--grid-l", "--seed", "--trials",
+         "--delta", "--tol-det", "--format")
+
+# Flags that follow the command; each row is parsed under every command.
+GOOD_FLAGS = [
+    [],
+    ["--input", "state.json"],
+    ["--input=state.json"],
+    ["--epsilon", "0.01"],
+    ["--sigma", "2.5"],
+    ["--grid-n", "1024"],
+    ["--grid-n=16384"],
+    ["--grid-l", "20"],
+    ["--seed", "7"],
+    ["--trials", "0"],
+    ["--delta", "0"],
+    ["--tol-det", "1e-6"],
+    ["--format", "json"],
+    ["--format", "text"],
+    ["--format", "csv"],
+    ["--eps", "0.5"],
+    ["--e", "-1"],
+    ["--sig", "1e-3"],
+    ["--grid-l", "-4"],
+    ["--inp", "a.json", "--form", "csv"],
+    ["--tol", "0", "--tri", "3", "--see", "11", "--del", "0.25"],
+    ["--seed", "1", "--seed", "2"],
+    ["--input", "-", "--epsilon", "1e-4", "--sigma", "0.5", "--grid-n", "256",
+     "--grid-l", "10", "--seed", "3", "--trials", "9", "--delta", "0.1",
+     "--tol-det", "0", "--format", "text"],
+]
+
+BAD_ARGVS = [
+    [],
+    ["--input", "state.json"],
+    ["frobnicate"],
+    ["Detect"],
+    ["detect", "--bogus"],
+    ["detect", "extra"],
+    ["detect", "detect"],
+    ["pointer-sim", "--grid", "512"],
+    ["pointer-sim", "--grid-", "512"],
+    ["pointer-sim", "--grid-n", "1.5"],
+    ["pointer-sim", "--grid-n", "x"],
+    ["benchmark", "--seed"],
+    ["benchmark", "--trials", "2.0"],
+    ["benchmark", "--trials", "-1"],
+    ["detect", "--delta", "-0.5"],
+    ["benchmark", "--format", "xml"],
+    ["benchmark", "--epsilon", "inf"],
+    ["circuit-verify", "--sigma", "-inf"],
+    ["detect", "-x"],
+]
+
+
+class TestParser:
+    @pytest.mark.parametrize("flags", GOOD_FLAGS, ids=lambda flags: " ".join(flags) or "defaults")
+    def test_namespace_matches_oracle(self, flags):
+        parser, oracle = cli.build_parser(), oracle_parser()
+        for command in ORACLE_COMMANDS:
+            argv = [command, *flags]
+            # repr tells 1 from 1.0, which the documents would show
+            flat, reference = (repr(sorted(vars(p.parse_args(argv)).items()))
+                               for p in (parser, oracle))
+            assert flat == reference, argv
+
+    def test_commands_match_oracle(self):
+        assert cli.COMMANDS == ORACLE_COMMANDS
+        assert set(cli._NEEDS_INPUT) < set(cli.COMMANDS)
+
+    @pytest.mark.parametrize("argv", [
+        *BAD_ARGVS,
+        *([*argv, "--input", "state.json"] for argv in BAD_NUMERIC_ARGVS),
+    ], ids=lambda argv: " ".join(argv) or "empty")
+    def test_bad_argv_exits_1_like_oracle(self, capsys, monkeypatch, tmp_path, argv):
+        (tmp_path / "state.json").write_text(json.dumps(state_to_json_dict(werner(0.5))))
+        monkeypatch.chdir(tmp_path)
+        for build in (cli.build_parser, oracle_parser):
+            monkeypatch.setattr(cli, "build_parser", build)
+            assert main(argv) == 1, (build.__name__, argv)
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            errors = [line for line in captured.err.splitlines() if "error:" in line]
+            assert len(errors) == 1 and errors[0].startswith("weakdetect: error: ")
+            assert "Traceback" not in captured.err
+
+    def test_flags_before_command(self, capsys):
+        _, before = run_main(capsys, ["--seed", "7", "benchmark", "--trials", "5"])
+        _, after = run_main(capsys, ["benchmark", "--trials", "5", "--seed", "7"])
+        assert before == after
+        assert json.loads(before)["seed"] == 7
+
+    @pytest.mark.parametrize("argv", [["--help"], ["detect", "--help"]])
+    def test_help_lists_every_command_and_flag(self, capsys, argv):
+        code, out = run_main(capsys, argv)
+        assert code == 0
+        for word in (*cli.COMMANDS, *FLAGS):
+            assert word in out, word
