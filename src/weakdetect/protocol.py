@@ -35,6 +35,7 @@ from .states import (
     TAU_DET,
     TwoQubitState,
     Verdict,
+    ZeroDiagonalError,
     validate_batch,
 )
 
@@ -53,7 +54,9 @@ TAU_WV = 1e-9
 # outcome is undefined.
 TAU_DEN = 1e-12
 
-INFORMATIVE_OUTCOMES = (1, 2, 3, 4, 9, 10, 11, 12, 13, 14, 15, 16)
+# Smallest eigenvalue a rebuilt state may have: reconstruction works from
+# measured data, so it allows more than VALIDATION_ATOL.
+RECONSTRUCT_POSITIVITY_TOL = 1e-6
 
 
 class NoSignalError(RuntimeError):
@@ -176,7 +179,6 @@ _LOCAL_PERM = np.arange(16) ^ 1
 _A, _B = np.divmod(np.arange(16), 4)
 # Outcomes 1, 6, 11, 16 post-select both copies on one basis state: p^2 .. s^2.
 _SQUARE_OUTCOMES = 5 * np.arange(4)
-_INFORMATIVE = np.array(INFORMATIVE_OUTCOMES) - 1
 
 # outcome k -> (row, col, diagonal index) of the element ratio it measures:
 # weak value at k equals matrix[row, col] / matrix[diag, diag]. H is block
@@ -187,6 +189,24 @@ OUTCOME_RATIO_INDEX: dict[int, tuple[int, int, int]] = {
     j + 1: (int(PERM[j] % 4), int(_B[j]), int(_B[j])) for j in range(16)
 }
 _RATIO_ROW, _RATIO_COL, _RATIO_DIAG = np.array(list(OUTCOME_RATIO_INDEX.values())).T
+
+# The first outcome measuring each element (row, col). Outcomes 5-8 repeat
+# 1-4, so these are the twelve informative outcomes.
+_FIRST_OUTCOME = {index[:2]: k for k, index in reversed(OUTCOME_RATIO_INDEX.items())}
+INFORMATIVE_OUTCOMES = tuple(sorted(_FIRST_OUTCOME.values()))
+_INFORMATIVE = np.array(INFORMATIVE_OUTCOMES) - 1
+
+
+def _measuring(row: int, col: int) -> tuple[int, int]:
+    """(column, diagonal index) of the first outcome measuring
+    matrix[row, col] / matrix[diag, diag]."""
+    k = _FIRST_OUTCOME[row, col]
+    return k - 1, OUTCOME_RATIO_INDEX[k][2]
+
+
+# Columns of the degenerate-branch probes: x*/q (CaseI) and w/s (CaseII).
+_CASE_I_PROBE = _measuring(2, 1)[0]
+_CASE_II_PROBE = _measuring(0, 3)[0]
 
 
 def build_hamiltonian() -> np.ndarray:
@@ -202,18 +222,17 @@ def build_local_hamiltonian() -> np.ndarray:
     return h
 
 
-def exact_weak_value(rho: TwoQubitState, hamiltonian: np.ndarray, k: int, *,
-                     tau_den: float = TAU_DEN) -> complex:
+def exact_weak_value(rho: TwoQubitState, hamiltonian: np.ndarray, k: int) -> complex:
     """<u_k| H (rho x rho) |u_k> / <u_k| rho x rho |u_k> for outcome k.
 
     Works for any 16x16 generator; raises NoSignalError when the
-    post-selection probability is below ``tau_den``.
+    post-selection probability is at or below TAU_DEN.
     """
     if not isinstance(k, (int, np.integer)) or not 1 <= k <= 16:
         raise ValueError(f"outcome index must be in 1..16, got {k!r}")
     joint = np.kron(rho.matrix, rho.matrix)
     den = float(joint[k - 1, k - 1].real)
-    if den <= tau_den:
+    if den <= TAU_DEN:
         raise NoSignalError(f"outcome {k} has post-selection probability {den:.3e}")
     num = complex(hamiltonian[k - 1, :] @ joint[:, k - 1])
     return num / den
@@ -242,27 +261,25 @@ def joint_entries(stack: np.ndarray, perm: np.ndarray = PERM) -> tuple[np.ndarra
     return flipped, diagonal[:, _A] * diagonal[:, _B]
 
 
-def weak_values_batch(
-    stack: np.ndarray, *, tau_den: float = TAU_DEN
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def weak_values_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(weak values, post-selection probabilities, defined mask) at all 16
     outcomes of an (N, 4, 4) stack, each (N, 16), outcome k in column k - 1.
 
-    Outcomes at or below ``tau_den`` are undefined, with weak value 0.
+    Outcomes at or below TAU_DEN are undefined, with weak value 0.
     """
     numerators, probabilities = joint_entries(stack)
-    defined = probabilities > tau_den
+    defined = probabilities > TAU_DEN
     values = np.where(defined, numerators / np.where(defined, probabilities, 1.0), 0.0)
     return values, np.maximum(probabilities, 0.0), defined
 
 
-def weak_values_all(rho: TwoQubitState, *, tau_den: float = TAU_DEN) -> WeakValueSet:
+def weak_values_all(rho: TwoQubitState) -> WeakValueSet:
     """Evaluate the weak value at all 16 outcomes of one state.
 
-    Outcomes with post-selection probability below ``tau_den`` are left out
-    of ``values``; see :func:`weak_values_batch`.
+    Outcomes with post-selection probability at or below TAU_DEN are left
+    out of ``values``; see :func:`weak_values_batch`.
     """
-    values, probabilities, defined = weak_values_batch(rho.matrix[None], tau_den=tau_den)
+    values, probabilities, defined = weak_values_batch(rho.matrix[None])
     return WeakValueSet(
         {k: complex(values[0, k - 1]) for k in range(1, 17) if defined[0, k - 1]},
         {k: float(probabilities[0, k - 1]) for k in range(1, 17)},
@@ -337,50 +354,60 @@ def _bracket(ratios: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     return _bracket_terms(ratios, diagonal).sum(axis=1).real
 
 
-def detect_batch(
-    stack: np.ndarray,
-    *,
-    tau_det: float = TAU_DET,
-    tau_diag: float = TAU_DIAG,
-    tau_wv: float = TAU_WV,
-) -> BatchReport:
+def det_ptb_expansion(rho: TwoQubitState) -> float:
+    """det(rho^TB) as pqrs times the 24-term bracket that :func:`detect_batch`
+    evaluates, fed with the element ratios read off the matrix.
+
+    A diagonal at or below TAU_DIAG raises ZeroDiagonalError; the
+    degenerate decision branches handle those states.
+    """
+    diagonal = rho.matrix.diagonal().real[None]
+    if diagonal.min() <= TAU_DIAG:
+        p, q, r, s = diagonal[0]
+        raise ZeroDiagonalError(
+            f"diagonal ({p:.3e}, {q:.3e}, {r:.3e}, {s:.3e}) has a zero entry"
+        )
+    return float(diagonal.prod() * _bracket(_element_ratios(rho.matrix[None]), diagonal)[0])
+
+
+def detect_batch(stack: np.ndarray, *, tau_det: float = TAU_DET) -> BatchReport:
     """Decide entangled/separable for every state of an (N, 4, 4) stack
     from weak values and post-selection data.
 
     Decision tree, per state:
 
-    * p or s vanishes (CaseI): the determinant collapses to -|x|^2 qr, so
-      the verdict is Separable when q or r also vanishes, else follows the
-      outcome-14 probe x*/q.
-    * q or r vanishes (CaseII): the determinant collapses to -|w|^2 ps and
-      the outcome-16 probe w/s decides.
+    * p or s is below TAU_DIAG (CaseI): the determinant collapses to
+      -|x|^2 qr, so the verdict is Separable when q or r is also below it,
+      else follows the outcome-14 probe x*/q.
+    * q or r is below TAU_DIAG (CaseII): the determinant collapses to
+      -|w|^2 ps and the outcome-16 probe w/s decides.
     * otherwise (General): assemble the scaled determinant bracket from the
       twelve ratios; entangled iff bracket < -tau_det/(pqrs).
 
-    A probe whose outcome carries no signal is read off the matrix, which
-    is reachable only when another diagonal is exactly zero (e.g. the s=0
-    sub-case of CaseI). On the General path, diagonals in (tau_diag, ~1e-6)
-    give probabilities below TAU_DEN; all twelve ratios are then read off
-    the matrix.
+    A probe decides Entangled when its magnitude exceeds TAU_WV. A probe
+    whose outcome carries no signal is read off the matrix (e.g. the s=0
+    sub-case of CaseI). On the General path, diagonals in (TAU_DIAG, ~1e-6)
+    give probabilities at or below TAU_DEN; all twelve ratios are then read
+    off the matrix.
     """
     values, probabilities, defined = weak_values_batch(stack)
     diagonal = np.sqrt(probabilities[:, _SQUARE_OUTCOMES])
     p, q, r, s = diagonal.T
-    small = diagonal < tau_diag
+    small = diagonal < TAU_DIAG
     case_i = small[:, 0] | small[:, 3]
     q_or_r = small[:, 1] | small[:, 2]
     general = ~(case_i | q_or_r)
 
     matrix = _element_ratios(stack)
     probe = np.where(defined, values, matrix)
-    x_over_q = np.abs(probe[:, 13])  # outcome 14: x*/q
-    w_over_s = np.abs(probe[:, 15])  # outcome 16: w/s
+    x_over_q = np.abs(probe[:, _CASE_I_PROBE])
+    w_over_s = np.abs(probe[:, _CASE_II_PROBE])
     det_value = np.where(
         case_i,
         np.where(q_or_r, 0.0, -((x_over_q * q) ** 2) * q * r),
         -((w_over_s * s) ** 2) * p * s,
     )
-    entangled = np.where(case_i, ~q_or_r & (x_over_q > tau_wv), w_over_s > tau_wv)
+    entangled = np.where(case_i, ~q_or_r & (x_over_q > TAU_WV), w_over_s > TAU_WV)
 
     silent = ~defined[general][:, _INFORMATIVE].all(axis=1)
     ratios = np.where(silent[:, None], matrix[general], values[general])
@@ -404,45 +431,27 @@ def detect_batch(
     )
 
 
-def detect(
-    rho: TwoQubitState,
-    *,
-    tau_det: float = TAU_DET,
-    tau_diag: float = TAU_DIAG,
-    tau_wv: float = TAU_WV,
-) -> DetectionReport:
+def detect(rho: TwoQubitState, *, tau_det: float = TAU_DET) -> DetectionReport:
     """Decide entangled/separable from weak values and post-selection data
     (one state; see :func:`detect_batch` for the decision tree)."""
-    batch = detect_batch(rho.matrix[None], tau_det=tau_det, tau_diag=tau_diag, tau_wv=tau_wv)
-    return batch.report(0)
+    return detect_batch(rho.matrix[None], tau_det=tau_det).report(0)
 
 
 # Off-diagonal (i, j), i < j: the primary outcome measures rho[i, j] / d and
 # the fallback outcome rho[j, i] / d', as (column, diagonal index) pairs.
-def _measuring(row: int, col: int) -> tuple[int, int]:
-    k = next(k for k in INFORMATIVE_OUTCOMES if OUTCOME_RATIO_INDEX[k][:2] == (row, col))
-    return k - 1, OUTCOME_RATIO_INDEX[k][2]
-
-
 _UPPER = np.triu_indices(4, 1)
 _PRIMARY = np.array([_measuring(i, j) for i, j in zip(*_UPPER)]).T
 _FALLBACK = np.array([_measuring(j, i) for i, j in zip(*_UPPER)]).T
 
 
-def reconstruct_batch(
-    values: np.ndarray,
-    defined: np.ndarray,
-    diagonal: np.ndarray,
-    *,
-    positivity_tol: float = 1e-6,
-) -> np.ndarray:
+def reconstruct_batch(values: np.ndarray, defined: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """Rebuild (N, 4, 4) density matrices from weak values and their defined
     mask (N, 16) and measured diagonals (N, 4).
 
     Off-diagonals come from ratio * diagonal, falling back to the conjugate
     partner outcome and finally to 0 when neither outcome carried signal.
     The diagonal is renormalized to sum exactly 1 and the result is
-    validated (positivity within ``positivity_tol``; a failure signals
+    validated (positivity within RECONSTRUCT_POSITIVITY_TOL; a failure signals
     inconsistent input data). Returns the validated stack. A rebuilt matrix
     that fails positivity while an off-diagonal between two non-zero
     diagonals went unmeasured raises NoSignalError naming those elements.
@@ -467,12 +476,12 @@ def reconstruct_batch(
     m[:, _UPPER[1], _UPPER[0]] = upper.conj()
     m[:, np.arange(4), np.arange(4)] = diagonal
     try:
-        return validate_batch(m, positivity_tol=positivity_tol)
+        return validate_batch(m, positivity_tol=RECONSTRUCT_POSITIVITY_TOL)
     except PositivityError as exc:
         # An unmeasured element between two non-zero diagonals may be
         # non-zero in the true state; rebuilt as 0 it can break positivity.
         rows, cols = _UPPER
-        failed = np.linalg.eigvalsh(m)[:, 0] < -positivity_tol
+        failed = np.linalg.eigvalsh(m)[:, 0] < -RECONSTRUCT_POSITIVITY_TOL
         lost = ~(defined[:, k1] | defined[:, k2]) & (diagonal[:, rows] * diagonal[:, cols] > 0)
         culprits = np.flatnonzero(failed & lost.any(axis=1))
         if not culprits.size:
@@ -483,26 +492,15 @@ def reconstruct_batch(
                             "rebuilt as 0") from exc
 
 
-def reconstruct(
-    wv: WeakValueSet,
-    diagonal: tuple[float, float, float, float],
-    *,
-    positivity_tol: float = 1e-6,
-) -> TwoQubitState:
+def reconstruct(wv: WeakValueSet, diagonal: tuple[float, float, float, float]) -> TwoQubitState:
     """Rebuild the density matrix from weak values and measured diagonals
     (one state; see :func:`reconstruct_batch`)."""
     values, defined = wv.arrays()
-    rebuilt = reconstruct_batch(values[None], defined[None], np.array([diagonal], dtype=float),
-                                positivity_tol=positivity_tol)
+    rebuilt = reconstruct_batch(values[None], defined[None], np.array([diagonal], dtype=float))
     return TwoQubitState(rebuilt[0])
 
 
-def detect_pure_local(
-    psi: PureAmplitudes,
-    *,
-    tau_diag: float = TAU_DIAG,
-    tau_wv: float = TAU_WV,
-) -> DetectionReport:
+def detect_pure_local(psi: PureAmplitudes) -> DetectionReport:
     """Pure-state detection with the locally-implementable interaction.
 
     The state a|00> + b|01> + c|10> + d|11> is separable iff ad - bc = 0.
@@ -517,14 +515,14 @@ def detect_pure_local(
     det_value = 0.0 - abs(discriminant) ** 4  # avoids -0.0 for product states
     diag = (abs(a) ** 2, abs(b) ** 2, abs(c) ** 2, abs(d) ** 2)
     weak_values: dict[int, complex] = {}
-    entangled = abs(discriminant) > tau_wv
-    if min(diag) >= tau_diag:
+    entangled = abs(discriminant) > TAU_WV
+    if min(diag) >= TAU_DIAG:
         numerators, probabilities = joint_entries(psi.to_state().matrix[None], _LOCAL_PERM)
         numerators, probabilities = numerators[0, [1, 3]], probabilities[0, [1, 3]]
         if (probabilities > TAU_DEN).all():
             wv2, wv4 = (complex(v) for v in numerators / probabilities)
             weak_values = {2: wv2, 4: wv4}
-            entangled = abs(wv2 - wv4) > tau_wv
+            entangled = abs(wv2 - wv4) > TAU_WV
     return DetectionReport(
         verdict=Verdict.ENTANGLED if entangled else Verdict.SEPARABLE,
         path=DecisionPath.PURE_LOCAL,

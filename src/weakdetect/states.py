@@ -10,10 +10,10 @@ with named elements
 
 where p, q, r, s are real non-negative diagonals summing to 1 and
 u, v, w, x, y, z are complex. The module provides validation, the partial
-transpose over the second qubit, the determinant separability check (both
-via LU and via the explicit degree-4 expansion in the matrix elements),
-eigenvalue-based oracles used as ground truth in tests, negativity, and
-random-state generators.
+transpose over the second qubit, the determinant separability check via LU
+(the 24-term expansion in element ratios lives in ``protocol``, next to the
+weak values that measure them), eigenvalue-based oracles used as ground
+truth in tests, negativity, and random-state generators.
 """
 
 from __future__ import annotations
@@ -76,50 +76,8 @@ class TwoQubitState:
     def __post_init__(self) -> None:
         self.matrix.setflags(write=False)
 
-    # diagonal elements (real)
-    @property
-    def p(self) -> float:
-        return float(self.matrix[0, 0].real)
-
-    @property
-    def q(self) -> float:
-        return float(self.matrix[1, 1].real)
-
-    @property
-    def r(self) -> float:
-        return float(self.matrix[2, 2].real)
-
-    @property
-    def s(self) -> float:
-        return float(self.matrix[3, 3].real)
-
-    # upper-triangle elements (complex)
-    @property
-    def u(self) -> complex:
-        return complex(self.matrix[0, 1])
-
-    @property
-    def v(self) -> complex:
-        return complex(self.matrix[0, 2])
-
-    @property
-    def w(self) -> complex:
-        return complex(self.matrix[0, 3])
-
-    @property
-    def x(self) -> complex:
-        return complex(self.matrix[1, 2])
-
-    @property
-    def y(self) -> complex:
-        return complex(self.matrix[1, 3])
-
-    @property
-    def z(self) -> complex:
-        return complex(self.matrix[2, 3])
-
     def diagonal(self) -> tuple[float, float, float, float]:
-        return (self.p, self.q, self.r, self.s)
+        return tuple(float(d) for d in self.matrix.diagonal().real)
 
 
 @dataclass(frozen=True)
@@ -148,23 +106,22 @@ class PureAmplitudes:
         return validate(np.outer(v, v.conj()))
 
 
-def validate(m, *, positivity_tol: float = VALIDATION_ATOL) -> TwoQubitState:
+def validate(m) -> TwoQubitState:
     """Check Hermiticity, unit trace and positivity; return the state.
 
     The matrix is symmetrized to (M + M^dag)/2 once the Hermiticity check
-    passes. ``positivity_tol`` is how far below zero the smallest eigenvalue
-    may sit (reconstruction from noisy data uses a looser value).
+    passes. The smallest eigenvalue may sit VALIDATION_ATOL below zero.
     """
     try:
         stack = np.asarray(m, dtype=complex)[None]
     except ValueError as exc:
         raise StateValidationError(str(exc)) from exc
-    return TwoQubitState(validate_batch(stack, positivity_tol=positivity_tol)[0])
+    return TwoQubitState(validate_batch(stack)[0])
 
 
 def validate_batch(stack, *, positivity_tol: float = VALIDATION_ATOL) -> np.ndarray:
-    """:func:`validate` for an (N, 4, 4) stack: finite entries, Hermiticity,
-    unit trace and positivity, checked for every state.
+    """:func:`validate` for an (N, 4, 4) stack: finite and bounded entries,
+    Hermiticity, unit trace and positivity, checked for every state.
 
     Returns the symmetrized stack; the first failed check raises.
     """
@@ -173,6 +130,13 @@ def validate_batch(stack, *, positivity_tol: float = VALIDATION_ATOL) -> np.ndar
         raise StateValidationError(f"expected 4x4 matrices, got shape {arr.shape}")
     if not np.isfinite(arr).all():
         raise StateValidationError("matrix entries must be finite (no NaN/Inf)")
+    # A density matrix has no entry above 1 in magnitude. The bound 2 leaves
+    # room for the tolerances, so no valid state is rejected, and keeps the
+    # checks below (and eigvalsh) free of overflow.
+    big = np.abs(arr).max(initial=0.0)
+    if big > 2.0:
+        raise StateValidationError(f"entry of magnitude {big:.3e} exceeds 1, the bound "
+                                   "for a density matrix")
     adjoint = arr.conj().swapaxes(1, 2)
     dev = np.abs(arr - adjoint).max(axis=(1, 2), initial=0.0)
     if (dev > VALIDATION_ATOL).any():
@@ -207,60 +171,15 @@ def det_ptb(rho: TwoQubitState) -> float:
     return float(np.linalg.det(partial_transpose_b(rho)).real)
 
 
-def det_ptb_expansion(rho: TwoQubitState, *, tau_diag: float = 1e-10) -> float:
-    """det(rho^TB) from the explicit degree-4 expansion in matrix elements.
-
-    Written exactly as the 24-term scaled sum: pqrs times a bracket of
-    element-ratio products plus 1. Requires all diagonals nonzero; a
-    vanishing diagonal raises ZeroDiagonalError and callers should switch
-    to the degenerate decision branches.
-    """
-    p, q, r, s = rho.diagonal()
-    if min(p, q, r, s) < tau_diag:
-        raise ZeroDiagonalError(
-            f"diagonal ({p:.3e}, {q:.3e}, {r:.3e}, {s:.3e}) has a zero entry"
-        )
-    u, v, w = rho.u, rho.v, rho.w
-    x, y, z = rho.x, rho.y, rho.z
-    c = np.conj
-    bracket = (
-        u * c(u) * z * c(z) / (p * q * r * s)
-        - u * v * c(y) * c(z) / (p * q * r * s)
-        - u * c(w) * x * z / (p * q * r * s)
-        - c(u) * c(v) * y * z / (p * q * r * s)
-        - c(u) * w * c(x) * c(z) / (p * q * r * s)
-        + v * c(v) * y * c(y) / (p * q * r * s)
-        - v * c(w) * c(x) * y / (p * q * r * s)
-        - c(v) * w * x * c(y) / (p * q * r * s)
-        + w * c(w) * x * c(x) / (p * q * r * s)
-        + u * v * c(w) / (p * q * r)
-        + c(u) * c(v) * w / (p * q * r)
-        + u * x * c(y) / (p * q * s)
-        + c(u) * c(x) * y / (p * q * s)
-        - u * c(u) / (p * q)
-        + v * c(x) * c(z) / (p * r * s)
-        + c(v) * x * z / (p * r * s)
-        - v * c(v) / (p * r)
-        - x * c(x) / (p * s)
-        + w * c(y) * c(z) / (q * r * s)
-        + c(w) * y * z / (q * r * s)
-        - w * c(w) / (q * r)
-        - y * c(y) / (q * s)
-        - z * c(z) / (r * s)
-        + 1.0
-    )
-    return float((p * q * r * s * bracket).real)
-
-
 def ppt_entangled(stack: np.ndarray, *, tau: float = TAU_DET) -> np.ndarray:
     """Ground-truth verdicts (True = entangled) for an (N, 4, 4) stack of
     states, from the smallest partial-transpose eigenvalue."""
     return np.linalg.eigvalsh(_partial_transpose(stack))[:, 0] < -tau
 
 
-def ppt_oracle(rho: TwoQubitState, *, tau: float = TAU_DET) -> Verdict:
+def ppt_oracle(rho: TwoQubitState) -> Verdict:
     """Ground-truth verdict from the partial-transpose spectrum."""
-    entangled = ppt_entangled(rho.matrix[None], tau=tau)[0]
+    entangled = ppt_entangled(rho.matrix[None])[0]
     return Verdict.ENTANGLED if entangled else Verdict.SEPARABLE
 
 
@@ -342,7 +261,10 @@ def _pair_to_complex(pair) -> complex:
     re, im = pair
     if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
         raise SchemaError(f"expected numeric [re, im] pair, got {pair!r}")
-    return complex(re, im)
+    try:
+        return complex(re, im)
+    except OverflowError:  # an integer beyond the float range
+        raise SchemaError("[re, im] pair out of the float range") from None
 
 
 def state_to_json_dict(rho: TwoQubitState) -> dict:
@@ -353,7 +275,7 @@ def state_to_json_dict(rho: TwoQubitState) -> dict:
     }
 
 
-def state_from_json_dict(doc, *, positivity_tol: float = VALIDATION_ATOL) -> TwoQubitState:
+def state_from_json_dict(doc) -> TwoQubitState:
     if not isinstance(doc, dict) or "matrix" not in doc:
         raise SchemaError('state file must be an object with a "matrix" key')
     rows = doc["matrix"]
@@ -362,7 +284,7 @@ def state_from_json_dict(doc, *, positivity_tol: float = VALIDATION_ATOL) -> Two
     ):
         raise SchemaError('"matrix" must be a 4x4 array of [re, im] pairs')
     m = np.array([[_pair_to_complex(e) for e in row] for row in rows], dtype=complex)
-    return validate(m, positivity_tol=positivity_tol)
+    return validate(m)
 
 
 def amplitudes_to_json_dict(psi: PureAmplitudes) -> dict:

@@ -24,6 +24,7 @@ from weakdetect.pointer import (
 )
 from weakdetect.protocol import (
     build_hamiltonian,
+    det_ptb_expansion,
     detect,
     detect_pure_local,
     diagonals_from_postselection,
@@ -37,7 +38,6 @@ from weakdetect.states import (
     PureAmplitudes,
     bell_phi_plus,
     det_ptb,
-    det_ptb_expansion,
     negativity,
     ppt_oracle,
     random_mixed,
@@ -93,8 +93,8 @@ def test_criterion_02_expansion_fidelity():
         rel = abs(det_ptb_expansion(rho) - lu) / abs(lu)
         worst = max(worst, rel)
         assert rel <= 1e-10
-    _report(2, f"element expansion matches LU determinant on 1000 states "
-               f"(worst relative deviation {worst:.2e})")
+    _report(2, f"24-term bracket on element ratios matches LU determinant on "
+               f"1000 states (worst relative deviation {worst:.2e})")
 
 
 def test_criterion_03_weak_value_identities():

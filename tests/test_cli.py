@@ -309,6 +309,46 @@ class TestExitCodes:
         assert captured.err.startswith("weakdetect: error: ")
         assert len(captured.err.splitlines()) == 1
 
+    @pytest.mark.parametrize("huge", [
+        # Hermitian with unit trace, but (M + M^dag)/2 overflows and eigvalsh fails
+        {(0, 3): [1.7e308, 0.0], (3, 0): [1.7e308, 0.0]},
+        # M - M^dag and the trace overflow
+        {(0, 3): [1.7e308, 0.0], (3, 0): [-1.7e308, 0.0]},
+        {(0, 0): [1.7e308, 0.0], (1, 1): [1.7e308, 0.0]},
+    ], ids=["hermitian", "anti-hermitian", "diagonal"])
+    @pytest.mark.parametrize("command", sorted(cli._NEEDS_INPUT - {"detect-pure"}))
+    @pytest.mark.filterwarnings("error")  # an overflow warning is a second stderr line
+    def test_huge_entry_exits_2(self, capsys, tmp_path, command, huge):
+        doc = state_to_json_dict(werner(0.5))
+        for (i, j), pair in huge.items():
+            doc["matrix"][i][j] = pair
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path)]) == 2
+        captured = capsys.readouterr()
+        if command == "validate":  # reports the failed check as its document
+            assert json.loads(captured.out)["error_kind"] == "StateValidationError"
+            assert captured.err == ""
+        else:
+            assert captured.out == ""
+            assert captured.err.startswith("weakdetect: invalid state: ")
+            assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", sorted(cli._NEEDS_INPUT))
+    def test_integer_beyond_float_range_exits_1(self, capsys, tmp_path, command):
+        if command == "detect-pure":
+            doc = {"amplitudes": [[10**400, 0], [0, 0], [0, 0], [0, 0]]}
+        else:
+            doc = state_to_json_dict(werner(0.5))
+            doc["matrix"][0][3] = [10**400, 0]
+        path = tmp_path / "big_int.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("weakdetect: error: ")
+        assert len(captured.err.splitlines()) == 1
+
     def test_nan_entries_exit_2(self, capsys, tmp_path):
         # json.loads accepts the NaN literal; it must not escape as a crash
         path = tmp_path / "nan.json"

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weakdetect.protocol import (
+    INFORMATIVE_OUTCOMES,
     OUTCOME_RATIO_INDEX,
     DecisionPath,
     NoSignalError,
@@ -10,6 +11,8 @@ from weakdetect.protocol import (
     TAU_DIAG,
     TAU_WV,
     WeakValueSet,
+    _CASE_I_PROBE,
+    _CASE_II_PROBE,
     _bracket_terms,
     build_hamiltonian,
     build_local_hamiltonian,
@@ -216,6 +219,12 @@ class TestWeakValuesAll:
             want = RATIO_ORACLE[k if k in RATIO_ORACLE else k - 4](m)
             assert abs(m[row, col] / m[diag, diag].real - want) <= 1e-12 * (1 + abs(want))
 
+    def test_derived_outcome_lists(self):
+        # the informative outcomes and the degenerate-branch probes are
+        # derived from OUTCOME_RATIO_INDEX, not typed in
+        assert INFORMATIVE_OUTCOMES == tuple(RATIO_ORACLE)
+        assert (_CASE_I_PROBE + 1, _CASE_II_PROBE + 1) == (14, 16)
+
 
 class TestDiagonalsFromPostselection:
     def test_werner_half(self):
@@ -371,7 +380,8 @@ def reference_decision(m):
 
 def mixed_stack(seed):
     """Ginibre, near-threshold Werner, Bell, basis, zero-diagonal,
-    rank-deficient and diagonal states in one (N, 4, 4) stack."""
+    rank-deficient, diagonal and small-diagonal states in one (N, 4, 4)
+    stack."""
     rng = np.random.default_rng(seed)
     h = 1 / np.sqrt(2)
 
@@ -400,6 +410,12 @@ def mixed_stack(seed):
         mats.append((1 - t) * np.outer(first, first.conj()) + t * random_mixed(rng).matrix)
     mats += [np.diag(rng.dirichlet(np.ones(4))).astype(complex) for _ in range(2)]
     mats.append(np.diag([0.5, 0.0, 0.25, 0.25]).astype(complex))
+    # smallest diagonal s = 1e-8: General, with every ratio read off the
+    # matrix (outcome 16 is silent); s = 1e-12: below TAU_DIAG, so CaseI
+    for s in (1e-8, 1e-12):
+        v = haar()
+        v[3] = 0
+        mats.append((1 - 4 * s) * np.outer(v, v.conj()) / np.vdot(v, v).real + s * np.eye(4))
     return validate_batch(np.array(mats))
 
 
@@ -448,8 +464,8 @@ class TestReconstruct:
         # fall back to zero
         rebuilt = reconstruct(weak_values_all(bell), diagonals_from_postselection(bell))
         assert trace_distance(bell, rebuilt) <= 1e-12
-        assert rebuilt.w == pytest.approx(0.5)
-        assert rebuilt.x == 0
+        assert rebuilt.matrix[0, 3] == pytest.approx(0.5)
+        assert rebuilt.matrix[1, 2] == 0
 
     def test_fallback_to_conjugate_partner(self):
         rho = random_mixed(17)

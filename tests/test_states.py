@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from weakdetect.protocol import det_ptb_expansion
 from weakdetect.states import (
     HermiticityError,
     NormalizationError,
@@ -17,7 +18,6 @@ from weakdetect.states import (
     amplitudes_from_json_dict,
     bell_phi_plus,
     det_ptb,
-    det_ptb_expansion,
     entanglement_estimate,
     negativity,
     partial_transpose_b,
@@ -52,13 +52,14 @@ def random_product_state(rng):
 class TestValidate:
     def test_maximally_mixed(self, maximally_mixed):
         assert maximally_mixed.diagonal() == (0.25, 0.25, 0.25, 0.25)
-        assert maximally_mixed.u == 0
+        assert maximally_mixed.matrix[0, 1] == 0
 
     def test_bell(self, bell):
-        assert bell.p == pytest.approx(0.5)
-        assert bell.s == pytest.approx(0.5)
-        assert bell.w == pytest.approx(0.5)
-        assert bell.q == bell.r == 0
+        m = bell.matrix
+        assert m[0, 0] == pytest.approx(0.5)
+        assert m[3, 3] == pytest.approx(0.5)
+        assert m[0, 3] == pytest.approx(0.5)
+        assert m[1, 1] == m[2, 2] == 0
 
     def test_negative_eigenvalue_rejected(self):
         # 2x2 block [[1/2, 0.6], [0.6, 1/2]] has eigenvalues 1/2 +/- 0.6
