@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from weakdetect.pointer import default_config, estimate_weak_values
-from weakdetect.protocol import weak_values_all
+from weakdetect.protocol import weak_values_batch
 from weakdetect.states import random_mixed
 
 
@@ -27,9 +27,10 @@ def main() -> None:
             if value < 0:
                 raise ValueError(f"{flag} must be non-negative, got {value}")
         rho = random_mixed(args.seed)
-        exact = weak_values_all(rho)
+        values, *_ = weak_values_batch(rho.matrix[None])
+        exact = values[0].tolist()
         epsilons = [args.epsilon / 2**i for i in range(args.steps)]
-        errors = [max(abs(r.estimate - exact.values[r.k])
+        errors = [max(abs(r.estimate - exact[r.k - 1])
                       for r in estimate_weak_values(rho, default_config(eps)))
                   for eps in epsilons]
     except ValueError as exc:

@@ -5,9 +5,6 @@ from .states import (
     TwoQubitState,
     Verdict,
     bell_phi_plus,
-    det_ptb,
-    entanglement_estimate,
-    negativity,
     ppt_oracle,
     random_mixed,
     random_pure,
@@ -17,16 +14,9 @@ from .states import (
 )
 from .protocol import (
     DetectionReport,
-    WeakValueSet,
-    build_hamiltonian,
-    build_local_hamiltonian,
     det_ptb_expansion,
     detect,
     detect_pure_local,
-    diagonals_from_postselection,
-    exact_weak_value,
-    reconstruct,
-    weak_values_all,
 )
 
 __version__ = "0.1.0"
@@ -36,10 +26,7 @@ __all__ = [
     "TwoQubitState",
     "Verdict",
     "bell_phi_plus",
-    "det_ptb",
     "det_ptb_expansion",
-    "entanglement_estimate",
-    "negativity",
     "ppt_oracle",
     "random_mixed",
     "random_pure",
@@ -47,14 +34,7 @@ __all__ = [
     "validate",
     "werner",
     "DetectionReport",
-    "WeakValueSet",
-    "build_hamiltonian",
-    "build_local_hamiltonian",
     "detect",
     "detect_pure_local",
-    "diagonals_from_postselection",
-    "exact_weak_value",
-    "reconstruct",
-    "weak_values_all",
     "__version__",
 ]

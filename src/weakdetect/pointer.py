@@ -40,6 +40,9 @@ from .protocol import PERM, TAU_DEN, joint_entries
 from .states import TwoQubitState
 
 
+MAX_GRID_N = 2**20
+
+
 @dataclass(frozen=True)
 class PointerGrid:
     """Uniform position grid x_j = -L + j dx, j = 0..n-1, dx = 2L/n."""
@@ -50,6 +53,10 @@ class PointerGrid:
     def __post_init__(self) -> None:
         if self.n < 256 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 256, got {self.n}")
+        # Checked here, before any array is allocated: at 2**20 points the
+        # overlap table's temporaries already peak near 250 MB.
+        if self.n > MAX_GRID_N:
+            raise ValueError(f"grid size must be at most {MAX_GRID_N}, got {self.n}")
         if not self.half_extent > 0:
             raise ValueError("half_extent must be positive")
 

@@ -18,8 +18,9 @@ whose interaction acts on a single qubit.
 
 The Hamiltonian is a permutation matrix, so the weak value at outcome
 k = 4a + b + 1 is a gather, rho[a', a] rho[b', b] / (rho[a, a] rho[b, b])
-with 4a' + b' = PERM[k - 1]. The ``*_batch`` functions work on (N, 4, 4)
-stacks that way, never forming rho x rho; the scalar functions are N = 1.
+with 4a' + b' = PERM[k - 1]. :func:`weak_values_batch` gathers the whole
+post-selection record of an (N, 4, 4) stack that way, never forming
+rho x rho; detection and reconstruction both read that one record.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ from .states import (
     validate_batch,
 )
 
-# Diagonal below TAU_DIAG counts as "no signal before the interaction" and
-# routes detection into the degenerate branches. Exact simulation makes
+# Diagonal at or below TAU_DIAG counts as "no signal before the interaction"
+# and routes detection into the degenerate branches. Exact simulation makes
 # true zeros exact up to kernel roundoff; a statistics-driven front end
 # would retune this.
 TAU_DIAG = 1e-10
@@ -72,27 +73,6 @@ class DecisionPath(Enum):
 
 # Decision paths of detect_batch, by the code it reports per state.
 BATCH_PATHS = (DecisionPath.GENERAL, DecisionPath.CASE_I, DecisionPath.CASE_II)
-
-
-@dataclass(frozen=True)
-class WeakValueSet:
-    """Weak values per outcome, with the post-selection probabilities.
-
-    ``values`` holds only outcomes whose probability exceeded TAU_DEN;
-    ``probabilities`` holds all 16.
-    """
-
-    values: dict[int, complex]
-    probabilities: dict[int, float]
-
-    @property
-    def defined(self) -> frozenset[int]:
-        return frozenset(self.values)
-
-    def arrays(self) -> tuple[np.ndarray, np.ndarray]:
-        """(values, defined mask) over outcomes 1..16; 0 where undefined."""
-        values = np.array([self.values.get(k, 0j) for k in range(1, 17)], dtype=complex)
-        return values, np.array([k in self.values for k in range(1, 17)])
 
 
 @dataclass(frozen=True)
@@ -171,8 +151,8 @@ HAMILTONIAN.setflags(write=False)
 # H is a permutation matrix: row j holds a single 1, in column PERM[j].
 PERM = np.argmax(HAMILTONIAN.real, axis=1)
 
-# The single-qubit flip of build_local_hamiltonian() acts on the last qubit,
-# so it maps outcome index j to j ^ 1.
+# The interaction of detect_pure_local flips only the last qubit, so it maps
+# outcome index j to j ^ 1.
 _LOCAL_PERM = np.arange(16) ^ 1
 
 # Outcome j = 4a + b (0-based) post-selects |a>|b>.
@@ -209,35 +189,6 @@ _CASE_I_PROBE = _measuring(2, 1)[0]
 _CASE_II_PROBE = _measuring(0, 3)[0]
 
 
-def build_hamiltonian() -> np.ndarray:
-    """The conditional-flip generator on two copies (read-only; built once)."""
-    return HAMILTONIAN
-
-
-def build_local_hamiltonian() -> np.ndarray:
-    """Single-qubit flip on the last qubit: acts locally on all four qubits
-    (read-only)."""
-    h = np.kron(np.eye(8, dtype=complex), _SIGMA_X)
-    h.setflags(write=False)
-    return h
-
-
-def exact_weak_value(rho: TwoQubitState, hamiltonian: np.ndarray, k: int) -> complex:
-    """<u_k| H (rho x rho) |u_k> / <u_k| rho x rho |u_k> for outcome k.
-
-    Works for any 16x16 generator; raises NoSignalError when the
-    post-selection probability is at or below TAU_DEN.
-    """
-    if not isinstance(k, (int, np.integer)) or not 1 <= k <= 16:
-        raise ValueError(f"outcome index must be in 1..16, got {k!r}")
-    joint = np.kron(rho.matrix, rho.matrix)
-    den = float(joint[k - 1, k - 1].real)
-    if den <= TAU_DEN:
-        raise NoSignalError(f"outcome {k} has post-selection probability {den:.3e}")
-    num = complex(hamiltonian[k - 1, :] @ joint[:, k - 1])
-    return num / den
-
-
 def _element_ratios(stack: np.ndarray) -> np.ndarray:
     """(N, 16) ratios read off the matrices through OUTCOME_RATIO_INDEX;
     NaN where the ratio's diagonal is at or below TAU_DIAG."""
@@ -261,39 +212,22 @@ def joint_entries(stack: np.ndarray, perm: np.ndarray = PERM) -> tuple[np.ndarra
     return flipped, diagonal[:, _A] * diagonal[:, _B]
 
 
-def weak_values_batch(stack: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(weak values, post-selection probabilities, defined mask) at all 16
-    outcomes of an (N, 4, 4) stack, each (N, 16), outcome k in column k - 1.
+def weak_values_batch(
+    stack: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The post-selection record of an (N, 4, 4) stack: (weak values,
+    post-selection probabilities, defined mask), each (N, 16) with outcome k
+    in column k - 1, and the (N, 4) diagonals (p, q, r, s).
 
-    Outcomes at or below TAU_DEN are undefined, with weak value 0.
+    Outcomes at or below TAU_DEN are undefined, with weak value 0. Outcomes
+    1, 6, 11, 16 post-select both copies on the same basis state, so their
+    probabilities are p^2, q^2, r^2, s^2 and give the diagonals.
     """
     numerators, probabilities = joint_entries(stack)
     defined = probabilities > TAU_DEN
     values = np.where(defined, numerators / np.where(defined, probabilities, 1.0), 0.0)
-    return values, np.maximum(probabilities, 0.0), defined
-
-
-def weak_values_all(rho: TwoQubitState) -> WeakValueSet:
-    """Evaluate the weak value at all 16 outcomes of one state.
-
-    Outcomes with post-selection probability at or below TAU_DEN are left
-    out of ``values``; see :func:`weak_values_batch`.
-    """
-    values, probabilities, defined = weak_values_batch(rho.matrix[None])
-    return WeakValueSet(
-        {k: complex(values[0, k - 1]) for k in range(1, 17) if defined[0, k - 1]},
-        {k: float(probabilities[0, k - 1]) for k in range(1, 17)},
-    )
-
-
-def diagonals_from_postselection(rho: TwoQubitState) -> tuple[float, float, float, float]:
-    """(p, q, r, s) from the four outcomes whose probabilities are their squares.
-
-    Outcomes 1, 6, 11, 16 post-select both copies on the same basis state,
-    so Pr = p^2, q^2, r^2, s^2.
-    """
-    squares = joint_entries(rho.matrix[None])[1][0, _SQUARE_OUTCOMES]
-    return tuple(float(d) for d in np.sqrt(np.maximum(squares, 0.0)))
+    probabilities = np.maximum(probabilities, 0.0)
+    return values, probabilities, defined, np.sqrt(probabilities[:, _SQUARE_OUTCOMES])
 
 
 # The 24 terms of det(rho^TB)/(pqrs) as (sign, factors). Factor k is the
@@ -376,10 +310,10 @@ def detect_batch(stack: np.ndarray, *, tau_det: float = TAU_DET) -> BatchReport:
 
     Decision tree, per state:
 
-    * p or s is below TAU_DIAG (CaseI): the determinant collapses to
-      -|x|^2 qr, so the verdict is Separable when q or r is also below it,
-      else follows the outcome-14 probe x*/q.
-    * q or r is below TAU_DIAG (CaseII): the determinant collapses to
+    * p or s is at or below TAU_DIAG (CaseI): the determinant collapses to
+      -|x|^2 qr, so the verdict is Separable when q or r is also at or below
+      it, else follows the outcome-14 probe x*/q.
+    * q or r is at or below TAU_DIAG (CaseII): the determinant collapses to
       -|w|^2 ps and the outcome-16 probe w/s decides.
     * otherwise (General): assemble the scaled determinant bracket from the
       twelve ratios; entangled iff bracket < -tau_det/(pqrs).
@@ -390,10 +324,11 @@ def detect_batch(stack: np.ndarray, *, tau_det: float = TAU_DET) -> BatchReport:
     give probabilities at or below TAU_DEN; all twelve ratios are then read
     off the matrix.
     """
-    values, probabilities, defined = weak_values_batch(stack)
-    diagonal = np.sqrt(probabilities[:, _SQUARE_OUTCOMES])
+    values, _, defined, diagonal = weak_values_batch(stack)
     p, q, r, s = diagonal.T
-    small = diagonal < TAU_DIAG
+    # _element_ratios reads no ratio over a diagonal at or below TAU_DIAG,
+    # so exactly those states take a degenerate branch.
+    small = diagonal <= TAU_DIAG
     case_i = small[:, 0] | small[:, 3]
     q_or_r = small[:, 1] | small[:, 2]
     general = ~(case_i | q_or_r)
@@ -490,14 +425,6 @@ def reconstruct_batch(values: np.ndarray, defined: np.ndarray, diagonal: np.ndar
                           for e in np.flatnonzero(lost[culprits[0]]))
         raise NoSignalError(f"{exc}: no outcome carried signal for {named}, "
                             "rebuilt as 0") from exc
-
-
-def reconstruct(wv: WeakValueSet, diagonal: tuple[float, float, float, float]) -> TwoQubitState:
-    """Rebuild the density matrix from weak values and measured diagonals
-    (one state; see :func:`reconstruct_batch`)."""
-    values, defined = wv.arrays()
-    rebuilt = reconstruct_batch(values[None], defined[None], np.array([diagonal], dtype=float))
-    return TwoQubitState(rebuilt[0])
 
 
 def detect_pure_local(psi: PureAmplitudes) -> DetectionReport:

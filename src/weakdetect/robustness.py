@@ -99,9 +99,11 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
     columns = joint[:, signal] / probabilities[signal]
     worst = np.zeros(np.count_nonzero(signal))
     violations = 0
-    streams = np.random.SeedSequence(seed).spawn(trials)
+    # spawn numbers children consecutively, so spawning one pass at a time
+    # gives trial i child i without holding all ``trials`` seeds at once.
+    parent = np.random.SeedSequence(seed)
     for lo in range(0, trials, CHUNK):
-        stack = perturbations(delta, streams[lo:lo + CHUNK])
+        stack = perturbations(delta, parent.spawn(min(CHUNK, trials - lo)))
         dev = np.abs(np.einsum("tkl,lk->tk", stack[:, signal], columns))
         violations += int(np.count_nonzero(dev > bound))
         worst = np.maximum(worst, dev.max(axis=0))

@@ -9,11 +9,11 @@ with named elements
         [ w*  y*  z*  s ]
 
 where p, q, r, s are real non-negative diagonals summing to 1 and
-u, v, w, x, y, z are complex. The module provides validation, the partial
-transpose over the second qubit, the determinant separability check via LU
-(the 24-term expansion in element ratios lives in ``protocol``, next to the
-weak values that measure them), eigenvalue-based oracles used as ground
-truth in tests, negativity, and random-state generators.
+u, v, w, x, y, z are complex. The module provides validation, the
+partial-transpose verdict oracle used as ground truth (the 24-term
+determinant expansion in element ratios lives in ``protocol``, next to the
+weak values that measure them), trace distances, and random-state
+generators.
 """
 
 from __future__ import annotations
@@ -161,16 +161,6 @@ def _partial_transpose(m: np.ndarray) -> np.ndarray:
     return m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-1, -3).reshape(m.shape)
 
 
-def partial_transpose_b(rho: TwoQubitState) -> np.ndarray:
-    """Transpose the second qubit's indices: (ik),(jl) -> (il),(jk)."""
-    return _partial_transpose(rho.matrix)
-
-
-def det_ptb(rho: TwoQubitState) -> float:
-    """det(rho^TB) via pivoted LU; real part (imaginary residue is roundoff)."""
-    return float(np.linalg.det(partial_transpose_b(rho)).real)
-
-
 def ppt_entangled(stack: np.ndarray, *, tau: float = TAU_DET) -> np.ndarray:
     """Ground-truth verdicts (True = entangled) for an (N, 4, 4) stack of
     states, from the smallest partial-transpose eigenvalue."""
@@ -181,16 +171,6 @@ def ppt_oracle(rho: TwoQubitState) -> Verdict:
     """Ground-truth verdict from the partial-transpose spectrum."""
     entangled = ppt_entangled(rho.matrix[None])[0]
     return Verdict.ENTANGLED if entangled else Verdict.SEPARABLE
-
-
-def negativity(rho: TwoQubitState) -> float:
-    """(||rho^TB||_1 - 1)/2 = |sum of negative partial-transpose eigenvalues|."""
-    return float(np.abs(np.linalg.eigvalsh(partial_transpose_b(rho))).sum() - 1.0) / 2.0
-
-
-def entanglement_estimate(rho: TwoQubitState) -> float:
-    """max{0, -det(rho^TB)}: zero for separable states, positive otherwise."""
-    return max(0.0, -det_ptb(rho))
 
 
 def trace_distance_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,7 +239,8 @@ def _pair_to_complex(pair) -> complex:
     if not isinstance(pair, (list, tuple)) or len(pair) != 2:
         raise SchemaError(f"expected an [re, im] pair, got {pair!r}")
     re, im = pair
-    if not isinstance(re, (int, float)) or not isinstance(im, (int, float)):
+    # bool is an int in Python, but JSON true/false are not numbers.
+    if any(isinstance(x, bool) or not isinstance(x, (int, float)) for x in pair):
         raise SchemaError(f"expected numeric [re, im] pair, got {pair!r}")
     try:
         return complex(re, im)

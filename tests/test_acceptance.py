@@ -23,22 +23,17 @@ from weakdetect.pointer import (
     pointer_overlaps,
 )
 from weakdetect.protocol import (
-    build_hamiltonian,
+    HAMILTONIAN,
     det_ptb_expansion,
     detect,
     detect_pure_local,
-    diagonals_from_postselection,
-    exact_weak_value,
-    reconstruct,
-    weak_values_all,
+    weak_values_batch,
 )
 from weakdetect.robustness import bound_check, perturbations
 from weakdetect.states import (
     Verdict,
     PureAmplitudes,
     bell_phi_plus,
-    det_ptb,
-    negativity,
     ppt_oracle,
     random_mixed,
     random_pure,
@@ -46,6 +41,8 @@ from weakdetect.states import (
     validate,
     werner,
 )
+
+from conftest import det_ptb, exact_weak_value, negativity, round_trip
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -102,13 +99,14 @@ def test_criterion_03_weak_value_identities():
     worst = 0.0
     for _ in range(200):
         rho = random_mixed(rng)
-        wv = weak_values_all(rho)
+        values, _, defined, _ = weak_values_batch(rho.matrix[None])
+        assert defined.all()
         for k, oracle in RATIO_ORACLE.items():
-            err = abs(wv.values[k] - oracle(rho.matrix))
+            err = abs(values[0, k - 1] - oracle(rho.matrix))
             worst = max(worst, err)
             assert err <= 1e-12
         for k in (5, 6, 7, 8):
-            assert abs(wv.values[k] - wv.values[k - 4]) <= 1e-12
+            assert abs(values[0, k - 1] - values[0, k - 5]) <= 1e-12
     _report(3, f"twelve ratio identities and the 5-8 redundancy hold on "
                f"200 states (worst error {worst:.2e})")
 
@@ -118,7 +116,7 @@ def test_criterion_04_tomography_round_trip():
     worst = 0.0
     for _ in range(1000):
         rho = random_mixed(rng)
-        rebuilt = reconstruct(weak_values_all(rho), diagonals_from_postselection(rho))
+        rebuilt = round_trip(rho)
         dist = trace_distance(rho, rebuilt)
         worst = max(worst, dist)
         assert dist <= 1e-8
@@ -127,7 +125,7 @@ def test_criterion_04_tomography_round_trip():
     for _ in range(50):
         weights = rng.dirichlet(np.ones(4))
         rho = validate(np.diag(weights).astype(complex))
-        rebuilt = reconstruct(weak_values_all(rho), diagonals_from_postselection(rho))
+        rebuilt = round_trip(rho)
         off_diag = rebuilt.matrix - np.diag(np.diag(rebuilt.matrix))
         assert np.all(off_diag == 0)
         assert trace_distance(rho, rebuilt) <= 1e-12
@@ -158,11 +156,12 @@ def test_criterion_06_pointer_convergence():
     ratios = []
     for _ in range(50):
         rho = random_mixed(rng)
-        exact = weak_values_all(rho)
+        exact, _, defined, _ = weak_values_batch(rho.matrix[None])
+        assert defined.all()
 
         def sweep_error(cfg):
             readouts = estimate_weak_values(rho, cfg)
-            return max(abs(r.estimate - exact.values[r.k]) for r in readouts)
+            return max(abs(r.estimate - exact[0, r.k - 1]) for r in readouts)
 
         err_full = sweep_error(cfg_full)
         err_half = sweep_error(cfg_half)
@@ -195,7 +194,7 @@ def test_criterion_07_circuit_equivalence():
 
 def test_criterion_08_robustness_bound():
     rng = np.random.default_rng(8)
-    h = build_hamiltonian()
+    h = HAMILTONIAN
     total_checks = 0
     for delta in (1e-3, 1e-2):
         for i in range(100):

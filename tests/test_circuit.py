@@ -17,7 +17,7 @@ from weakdetect.circuit import (
     weak_interaction_unitary,
     x_rotation,
 )
-from weakdetect.protocol import build_hamiltonian
+from weakdetect.protocol import HAMILTONIAN
 
 from conftest import SIGMA_X, expm_hermitian
 
@@ -74,8 +74,8 @@ class TestClosedForms:
 
     @pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
     def test_hamiltonian_exponential(self, eps):
-        closed = circuit._exp_involution(build_hamiltonian(), eps)
-        assert np.max(np.abs(closed - expm_hermitian(build_hamiltonian(), -1j * eps))) <= 1e-12
+        closed = circuit._exp_involution(HAMILTONIAN, eps)
+        assert np.max(np.abs(closed - expm_hermitian(HAMILTONIAN, -1j * eps))) <= 1e-12
 
 
 class TestWeakInteractionUnitary:
@@ -89,7 +89,7 @@ class TestWeakInteractionUnitary:
     @pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
     def test_matches_hamiltonian_exponential(self, eps):
         u = weak_interaction_unitary(eps)
-        expected = expm_hermitian(build_hamiltonian(), -1j * eps)
+        expected = expm_hermitian(HAMILTONIAN, -1j * eps)
         assert np.max(np.abs(u - expected)) <= 1e-12
         assert unitary_vs_hamiltonian(eps) <= 1e-12
 

@@ -11,7 +11,8 @@ import pytest
 
 import weakdetect.cli as cli
 from weakdetect.cli import main
-from weakdetect.states import bell_phi_plus, state_to_json_dict, validate, werner
+from weakdetect.protocol import TAU_DIAG
+from weakdetect.states import bell_phi_plus, ppt_oracle, state_to_json_dict, validate, werner
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -49,6 +50,7 @@ BAD_NUMERIC_ARGVS = [
     ["pointer-sim", "--sigma", "0"],
     ["pointer-sim", "--sigma", "5"],
     ["pointer-sim", "--grid-n", "100"],
+    ["pointer-sim", "--grid-n", str(2**40)],  # a power of two too large to allocate
     ["pointer-sim", "--grid-l", "inf"],
     ["circuit-verify", "--epsilon", "nan"],
     ["detect", "--tol-det", "nan"],
@@ -112,6 +114,20 @@ class TestDetect:
         )
         assert code == 0
         assert json.loads(out)["verdict"] == "Separable"
+
+    def test_smallest_diagonal_exactly_tau_diag(self, capsys, tmp_path):
+        # s = TAU_DIAG exactly: no ratio over s can be read, so the state
+        # takes CaseI, whose verdict agrees with the oracle
+        psi = np.array([0.6, 0.48, 0.64, 0.0])
+        rho = validate((1 - 4 * TAU_DIAG) * np.outer(psi, psi) + TAU_DIAG * np.eye(4))
+        assert rho.matrix[3, 3] == TAU_DIAG
+        path = tmp_path / "tau_diag.json"
+        path.write_text(json.dumps(state_to_json_dict(rho)))
+        code, out = run_main(capsys, ["detect", "--input", str(path)])
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["path"] == "CaseI"
+        assert doc["verdict"] == ppt_oracle(rho).value == "Entangled"
 
 
 class TestDetectPure:
@@ -342,6 +358,22 @@ class TestExitCodes:
             doc = state_to_json_dict(werner(0.5))
             doc["matrix"][0][3] = [10**400, 0]
         path = tmp_path / "big_int.json"
+        path.write_text(json.dumps(doc))
+        assert main([command, "--input", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("weakdetect: error: ")
+        assert len(captured.err.splitlines()) == 1
+
+    @pytest.mark.parametrize("command", sorted(cli._NEEDS_INPUT))
+    def test_json_boolean_exits_1(self, capsys, tmp_path, command):
+        # Python's bool is an int, but JSON true and false are not numbers
+        if command == "detect-pure":
+            doc = {"amplitudes": [[True, 0], [0, 0], [0, 0], [0, 0]]}
+        else:
+            doc = state_to_json_dict(werner(0.5))
+            doc["matrix"][1][2] = [0.0, False]
+        path = tmp_path / "bool.json"
         path.write_text(json.dumps(doc))
         assert main([command, "--input", str(path)]) == 1
         captured = capsys.readouterr()

@@ -16,8 +16,10 @@ from weakdetect.pointer import (
     readout_weak_value,
     translate,
 )
-from weakdetect.protocol import TAU_DEN, build_hamiltonian, weak_values_all
+from weakdetect.protocol import HAMILTONIAN, TAU_DEN
 from weakdetect.states import bell_phi_plus, random_mixed, random_pure, validate, werner
+
+from conftest import record
 
 seeds = st.integers(0, 10**6)
 
@@ -37,7 +39,7 @@ def ensemble_moment_table(rho, cfg):
     """Reference for moment_table: evolve each branch of the eigen-ensemble
     of rho x rho with the pointer, post-select, and sum the branches' moments
     on the grid, with one FFT per branch and outcome."""
-    h = build_hamiltonian()
+    h = HAMILTONIAN
     branches = _ensemble(np.kron(rho.matrix, rho.matrix))
     phi_in = gaussian_pointer(cfg.sigma, cfg.grid)
     phi_plus = translate(phi_in, +cfg.epsilon).amplitudes
@@ -237,19 +239,21 @@ class TestEstimateWeakValues:
     @settings(max_examples=5)
     def test_close_to_exact(self, seed):
         rho = random_mixed(seed)
-        exact = weak_values_all(rho)
+        exact, _, defined, _ = record(rho)
         eps = 1e-3
         readouts = estimate_weak_values(rho, default_config(eps))
         for readout in readouts:
-            assert abs(readout.estimate - exact.values[readout.k]) <= 5 * eps
+            assert defined[readout.k - 1]
+            assert abs(readout.estimate - exact[readout.k - 1]) <= 5 * eps
 
     def test_error_halving_ratio(self):
         rho = random_mixed(404)
-        exact = weak_values_all(rho)
+        exact, _, defined, _ = record(rho)
+        assert defined.all()
 
         def max_err(eps):
             readouts = estimate_weak_values(rho, default_config(eps))
-            return max(abs(r.estimate - exact.values[r.k]) for r in readouts)
+            return max(abs(r.estimate - exact[r.k - 1]) for r in readouts)
 
         ratio = max_err(1e-3) / max_err(5e-4)
         assert 1.7 <= ratio <= 4.3

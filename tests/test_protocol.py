@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weakdetect.protocol import (
+    HAMILTONIAN,
     INFORMATIVE_OUTCOMES,
     OUTCOME_RATIO_INDEX,
     DecisionPath,
@@ -10,35 +11,31 @@ from weakdetect.protocol import (
     TAU_DEN,
     TAU_DIAG,
     TAU_WV,
-    WeakValueSet,
     _CASE_I_PROBE,
     _CASE_II_PROBE,
     _bracket_terms,
-    build_hamiltonian,
-    build_local_hamiltonian,
     detect,
     detect_batch,
     detect_pure_local,
-    diagonals_from_postselection,
-    exact_weak_value,
-    reconstruct,
     reconstruct_batch,
-    weak_values_all,
+    weak_values_batch,
 )
 from weakdetect.states import (
     TAU_DET,
     PositivityError,
     PureAmplitudes,
     Verdict,
-    det_ptb,
     ppt_oracle,
     random_mixed,
     random_pure,
     trace_distance,
+    trace_distance_batch,
     validate,
     validate_batch,
     werner,
 )
+
+from conftest import build_local_hamiltonian, det_ptb, exact_weak_value, record, round_trip
 
 seeds = st.integers(0, 10**6)
 
@@ -115,7 +112,7 @@ def basis_state(i):
 
 class TestBuildHamiltonian:
     def test_flip_amplitudes(self):
-        h = build_hamiltonian()
+        h = HAMILTONIAN
         assert not h.flags.writeable
         # |0000> -> |0001| block flips the last qubit
         assert h[1, 0] == 1
@@ -123,15 +120,15 @@ class TestBuildHamiltonian:
         assert h[12, 15] == 1
 
     def test_squares_to_identity(self):
-        h = build_hamiltonian()
+        h = HAMILTONIAN
         np.testing.assert_allclose(h @ h, np.eye(16), atol=1e-15)
 
     def test_hermitian(self):
-        h = build_hamiltonian()
+        h = HAMILTONIAN
         np.testing.assert_allclose(h, h.conj().T, atol=1e-15)
 
     def test_block_structure(self):
-        h = build_hamiltonian()
+        h = HAMILTONIAN
         sx = np.array([[0, 1], [1, 0]], dtype=complex)
         eye2 = np.eye(2)
         np.testing.assert_allclose(h[0:4, 0:4], np.kron(eye2, sx))
@@ -154,60 +151,61 @@ class TestBuildHamiltonian:
 class TestExactWeakValue:
     def test_werner_k16(self):
         # w/s = (1/4) / (3/8) = 2/3
-        h = build_hamiltonian()
+        h = HAMILTONIAN
         value = exact_weak_value(werner(0.5), h, 16)
         assert value == pytest.approx(2 / 3, abs=1e-14)
 
     def test_werner_k1_zero(self):
-        value = exact_weak_value(werner(0.5), build_hamiltonian(), 1)
+        value = exact_weak_value(werner(0.5), HAMILTONIAN, 1)
         assert value == 0
 
     def test_bell_k16(self, bell):
-        assert exact_weak_value(bell, build_hamiltonian(), 16) == pytest.approx(1.0)
+        assert exact_weak_value(bell, HAMILTONIAN, 16) == pytest.approx(1.0)
 
     def test_no_signal(self, bell):
         with pytest.raises(NoSignalError):
-            exact_weak_value(bell, build_hamiltonian(), 6)  # probability q^2 = 0
+            exact_weak_value(bell, HAMILTONIAN, 6)  # probability q^2 = 0
 
     def test_bad_outcome_index(self, bell):
         with pytest.raises(ValueError):
-            exact_weak_value(bell, build_hamiltonian(), 17)
+            exact_weak_value(bell, HAMILTONIAN, 17)
 
 
 class TestWeakValuesAll:
     @given(seeds)
     def test_identities(self, seed):
         rho = random_mixed(seed)
-        wv = weak_values_all(rho)
+        values, _, defined, _ = record(rho)
+        assert defined.all()
         for k, oracle in RATIO_ORACLE.items():
-            assert abs(wv.values[k] - oracle(rho.matrix)) <= 1e-12
+            assert abs(values[k - 1] - oracle(rho.matrix)) <= 1e-12
 
     @given(seeds)
     def test_redundant_outcomes(self, seed):
-        wv = weak_values_all(random_mixed(seed))
+        values = record(random_mixed(seed))[0]
         for k in (5, 6, 7, 8):
-            assert abs(wv.values[k] - wv.values[k - 4]) <= 1e-12
+            assert abs(values[k - 1] - values[k - 5]) <= 1e-12
 
     @given(seeds)
     def test_gather_matches_definition(self, seed):
         # <u_k| H (rho x rho) |u_k> / <u_k| rho x rho |u_k> through the full
         # two-copy matrices
         rho = random_mixed(seed)
-        wv = weak_values_all(rho)
+        values = record(rho)[0]
         for k in range(1, 17):
-            want = exact_weak_value(rho, build_hamiltonian(), k)
-            assert abs(wv.values[k] - want) <= 1e-12 * (1 + abs(want))
+            want = exact_weak_value(rho, HAMILTONIAN, k)
+            assert abs(values[k - 1] - want) <= 1e-12 * (1 + abs(want))
 
     def test_maximally_mixed_all_zero(self, maximally_mixed):
-        wv = weak_values_all(maximally_mixed)
-        assert wv.defined == frozenset(range(1, 17))
-        assert all(v == 0 for v in wv.values.values())
+        values, _, defined, _ = record(maximally_mixed)
+        assert defined.all()
+        assert (values == 0).all()
 
     def test_defined_mask_tracks_probabilities(self, bell):
-        wv = weak_values_all(bell)
-        assert wv.defined == frozenset({1, 4, 13, 16})
-        assert wv.probabilities[6] == 0.0
-        assert wv.probabilities[16] == pytest.approx(0.25)
+        _, probabilities, defined, _ = record(bell)
+        assert set(np.flatnonzero(defined) + 1) == {1, 4, 13, 16}
+        assert probabilities[5] == 0.0
+        assert probabilities[15] == pytest.approx(0.25)
 
     @given(seeds)
     def test_ratio_table_matches_oracle(self, seed):
@@ -229,27 +227,21 @@ class TestWeakValuesAll:
 class TestDiagonalsFromPostselection:
     def test_werner_half(self):
         # Pr(k=1) = p^2 = (3/8)^2 = 9/64
-        w = werner(0.5)
-        wv = weak_values_all(w)
-        assert wv.probabilities[1] == pytest.approx(9 / 64, abs=1e-14)
-        p, q, r, s = diagonals_from_postselection(w)
+        _, probabilities, _, (p, q, r, s) = record(werner(0.5))
+        assert probabilities[0] == pytest.approx(9 / 64, abs=1e-14)
         assert (p, s) == (pytest.approx(3 / 8), pytest.approx(3 / 8))
         assert (q, r) == (pytest.approx(1 / 8), pytest.approx(1 / 8))
 
     def test_maximally_mixed(self, maximally_mixed):
-        assert diagonals_from_postselection(maximally_mixed) == pytest.approx(
-            (0.25, 0.25, 0.25, 0.25)
-        )
+        assert record(maximally_mixed)[3] == pytest.approx((0.25, 0.25, 0.25, 0.25))
 
     def test_basis_state(self):
-        assert diagonals_from_postselection(basis_state(1)) == (0.0, 1.0, 0.0, 0.0)
+        assert record(basis_state(1))[3].tolist() == [0.0, 1.0, 0.0, 0.0]
 
     @given(seeds)
     def test_matches_diagonal(self, seed):
         rho = random_mixed(seed)
-        np.testing.assert_allclose(
-            diagonals_from_postselection(rho), rho.diagonal(), atol=1e-12
-        )
+        np.testing.assert_allclose(record(rho)[3], rho.diagonal(), atol=1e-12)
 
 
 class TestDetBracket:
@@ -282,10 +274,9 @@ class TestDetBracket:
     def test_conjugate_consistency(self, seed):
         # conj(u*/p) * p must equal (u/q) * q whenever all four are defined
         rho = random_mixed(seed)
-        wv = weak_values_all(rho)
-        p, q, _, _ = diagonals_from_postselection(rho)
-        lhs = np.conj(wv.values[1]) * p
-        rhs = wv.values[2] * q
+        values, _, _, (p, q, _, _) = record(rho)
+        lhs = np.conj(values[0]) * p
+        rhs = values[1] * q
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
 
 
@@ -363,12 +354,12 @@ def reference_decision(m):
     """(path, entangled, det(rho^TB), roundoff scale of det) from element
     ratios read off the matrix, by the decision tree of ``detect``."""
     p, q, r, s = np.diag(m).real
-    if p < TAU_DIAG or s < TAU_DIAG:
-        if q < TAU_DIAG or r < TAU_DIAG:
+    if p <= TAU_DIAG or s <= TAU_DIAG:
+        if q <= TAU_DIAG or r <= TAU_DIAG:
             return DecisionPath.CASE_I, False, 0.0, 0.0
         x_over_q = abs(m[1, 2]) / q
         return DecisionPath.CASE_I, x_over_q > TAU_WV, -((x_over_q * q) ** 2) * q * r, 0.0
-    if q < TAU_DIAG or r < TAU_DIAG:
+    if q <= TAU_DIAG or r <= TAU_DIAG:
         w_over_s = abs(m[0, 3]) / s
         return DecisionPath.CASE_II, w_over_s > TAU_WV, -((w_over_s * s) ** 2) * p * s, 0.0
     terms = element_terms(m)
@@ -416,6 +407,9 @@ def mixed_stack(seed):
         v = haar()
         v[3] = 0
         mats.append((1 - 4 * s) * np.outer(v, v.conj()) / np.vdot(v, v).real + s * np.eye(4))
+    # s exactly TAU_DIAG: no ratio over s can be read, so CaseI as well
+    psi = np.array([0.6, 0.48, 0.64, 0.0])
+    mats.append((1 - 4 * TAU_DIAG) * np.outer(psi, psi) + TAU_DIAG * np.eye(4))
     return validate_batch(np.array(mats))
 
 
@@ -447,46 +441,38 @@ class TestReconstruct:
     @given(seeds)
     def test_round_trip(self, seed):
         rho = random_mixed(seed)
-        rebuilt = reconstruct(
-            weak_values_all(rho), diagonals_from_postselection(rho)
-        )
-        assert trace_distance(rho, rebuilt) <= 1e-8
+        assert trace_distance(rho, round_trip(rho)) <= 1e-8
 
     def test_maximally_mixed_exact(self, maximally_mixed):
-        rebuilt = reconstruct(
-            weak_values_all(maximally_mixed),
-            diagonals_from_postselection(maximally_mixed),
-        )
+        rebuilt = round_trip(maximally_mixed)
         np.testing.assert_array_equal(rebuilt.matrix, maximally_mixed.matrix)
 
     def test_bell_from_defined_ratios(self, bell):
         # only outcomes 1, 4, 13, 16 carry signal; w comes from 16, the rest
         # fall back to zero
-        rebuilt = reconstruct(weak_values_all(bell), diagonals_from_postselection(bell))
+        rebuilt = round_trip(bell)
         assert trace_distance(bell, rebuilt) <= 1e-12
         assert rebuilt.matrix[0, 3] == pytest.approx(0.5)
         assert rebuilt.matrix[1, 2] == 0
 
     def test_fallback_to_conjugate_partner(self):
         rho = random_mixed(17)
-        wv = weak_values_all(rho)
+        values, _, defined, diagonal = weak_values_batch(rho.matrix[None])
         # strip the primary outcomes so every element uses its fallback
-        reduced = WeakValueSet(
-            values={k: v for k, v in wv.values.items() if k in (1, 3, 9, 10, 13, 14)},
-            probabilities=wv.probabilities,
-        )
-        rebuilt = reconstruct(reduced, diagonals_from_postselection(rho))
-        assert trace_distance(rho, rebuilt) <= 1e-8
+        defined &= np.isin(np.arange(1, 17), (1, 3, 9, 10, 13, 14))
+        values = np.where(defined, values, 0.0)
+        rebuilt = reconstruct_batch(values, defined, diagonal)
+        assert trace_distance_batch(rho.matrix[None], rebuilt)[0] <= 1e-8
 
     def test_rejects_bad_diagonal_sum(self):
-        wv = weak_values_all(werner(0.5))
+        values, _, defined, _ = weak_values_batch(werner(0.5).matrix[None])
         with pytest.raises(ValueError):
-            reconstruct(wv, (0.5, 0.5, 0.5, 0.5))
+            reconstruct_batch(values, defined, np.array([[0.5, 0.5, 0.5, 0.5]]))
 
     def test_rejects_negative_diagonal(self):
-        wv = weak_values_all(werner(0.5))
+        values, _, defined, _ = weak_values_batch(werner(0.5).matrix[None])
         with pytest.raises(ValueError):
-            reconstruct(wv, (1.2, -0.2, 0.0, 0.0))
+            reconstruct_batch(values, defined, np.array([[1.2, -0.2, 0.0, 0.0]]))
 
     def test_unmeasured_element_raises_no_signal(self):
         # r = 0: outcomes 10 and 12 (y = rho[1, 3], between q and s) are
@@ -495,22 +481,22 @@ class TestReconstruct:
         rho = validate(np.outer(psi, psi))
         message = r"for element \(1, 3\) \(outcomes 12 and 10\), rebuilt as 0$"
         with pytest.raises(NoSignalError, match=message):
-            reconstruct(weak_values_all(rho), diagonals_from_postselection(rho))
+            round_trip(rho)
 
     def test_unmeasured_element_kept_at_zero_when_still_valid(self):
         # p = s = 0 silences both outcomes of x = rho[1, 2]; x = 0 stays a
         # valid state, so reconstruction returns it rather than raising
         psi = np.array([0.0, 0.6, 0.8, 0.0])
         rho = validate(np.outer(psi, psi))
-        rebuilt = reconstruct(weak_values_all(rho), diagonals_from_postselection(rho))
+        rebuilt = round_trip(rho)
         np.testing.assert_allclose(rebuilt.matrix, np.diag(np.diag(rho.matrix)), atol=1e-15)
 
     def test_rejects_inconsistent_data(self, bell):
         # Bell weak values give w/s = 1, so w = s after recovery; forcing
         # s > p makes the (|00>, |11>) block indefinite
-        wv = weak_values_all(bell)
+        values, _, defined, _ = weak_values_batch(bell.matrix[None])
         with pytest.raises(PositivityError):
-            reconstruct(wv, (0.02, 0.0, 0.0, 0.98))
+            reconstruct_batch(values, defined, np.array([[0.02, 0.0, 0.0, 0.98]]))
 
 
 class TestDetectPureLocal:
@@ -572,8 +558,8 @@ class TestDetectPureLocal:
 def test_element_ratio_no_signal(bell):
     # outcome 14 measures conj(rho[1, 2]) / q, and q = 0 for |Phi+>
     with pytest.raises(NoSignalError):
-        exact_weak_value(bell, build_hamiltonian(), 14)
-    assert 14 not in weak_values_all(bell).values
+        exact_weak_value(bell, HAMILTONIAN, 14)
+    assert not record(bell)[2][13]
 
 
 def test_case_thresholds_respected():

@@ -17,10 +17,6 @@ from weakdetect.states import (
     ZeroDiagonalError,
     amplitudes_from_json_dict,
     bell_phi_plus,
-    det_ptb,
-    entanglement_estimate,
-    negativity,
-    partial_transpose_b,
     ppt_oracle,
     random_mixed,
     random_pure,
@@ -30,6 +26,8 @@ from weakdetect.states import (
     validate,
     werner,
 )
+
+from conftest import det_ptb, entanglement_estimate, negativity, partial_transpose_b
 
 seeds = st.integers(0, 10**6)
 
