@@ -10,11 +10,12 @@ a density-matrix element to a diagonal element:
     k=9: v*/p   k=10: y*/q  k=11: v/r   k=12: y/s
     k=13: w*/p  k=14: x*/q  k=15: x/r   k=16: w/s
 
-Outcomes 5-8 duplicate 1-4. From these ratios plus the post-selection
-probabilities the protocol evaluates the sign of det(rho^TB) (entangled iff
-negative), handles the degenerate branches where a diagonal vanishes,
-reconstructs the full state, and - for pure states - runs the local variant
-whose interaction acts on a single qubit.
+Outcomes 5-8 duplicate 1-4. Each ratio times the diagonal measured from
+the post-selection probabilities gives back one element. det(rho^TB) is a
+24-term polynomial in the elements, with no division, so one formula
+decides every state (entangled iff the determinant is negative), with no
+decision tree and no probes. The same elements rebuild the full state. For
+pure states a local variant's interaction acts on a single qubit.
 
 The Hamiltonian is a permutation matrix, so the weak value at outcome
 k = 4a + b + 1 is a gather, rho[a', a] rho[b', b] / (rho[a, a] rho[b, b])
@@ -36,19 +37,18 @@ from .states import (
     TAU_DET,
     TwoQubitState,
     Verdict,
-    ZeroDiagonalError,
     validate_batch,
 )
 
-# Diagonal at or below TAU_DIAG counts as "no signal before the interaction"
-# and routes detection into the degenerate branches. Exact simulation makes
-# true zeros exact up to kernel roundoff; a statistics-driven front end
-# would retune this.
+# Diagonal at or below TAU_DIAG counts as "no signal before the interaction":
+# it labels a detection report CaseI or CaseII (the decision is the same
+# formula on every path) and sends detect_pure_local to its amplitude test.
+# Exact simulation makes true zeros exact up to kernel roundoff; a
+# statistics-driven front end would retune this.
 TAU_DIAG = 1e-10
 
-# Weak-value magnitudes below TAU_WV count as zero in the degenerate
-# branches and in the pure-local equality test (matched to the TAU_DET
-# scale).
+# Magnitudes below TAU_WV count as zero in the pure-local test, on the weak
+# values and on the amplitude discriminant (matched to the TAU_DET scale).
 TAU_WV = 1e-9
 
 # Post-selection probability below TAU_DEN means the weak value for that
@@ -61,7 +61,8 @@ RECONSTRUCT_POSITIVITY_TOL = 1e-6
 
 
 class NoSignalError(RuntimeError):
-    """Post-selection probability vanished for the requested outcome."""
+    """No outcome carried signal for an element that :func:`reconstruct_batch`
+    needs to rebuild a valid state."""
 
 
 class DecisionPath(Enum):
@@ -71,7 +72,7 @@ class DecisionPath(Enum):
     PURE_LOCAL = "PureLocal"
 
 
-# Decision paths of detect_batch, by the code it reports per state.
+# Path labels of detect_batch, by the code it reports per state.
 BATCH_PATHS = (DecisionPath.GENERAL, DecisionPath.CASE_I, DecisionPath.CASE_II)
 
 
@@ -168,13 +169,11 @@ _SQUARE_OUTCOMES = 5 * np.arange(4)
 OUTCOME_RATIO_INDEX: dict[int, tuple[int, int, int]] = {
     j + 1: (int(PERM[j] % 4), int(_B[j]), int(_B[j])) for j in range(16)
 }
-_RATIO_ROW, _RATIO_COL, _RATIO_DIAG = np.array(list(OUTCOME_RATIO_INDEX.values())).T
 
 # The first outcome measuring each element (row, col). Outcomes 5-8 repeat
 # 1-4, so these are the twelve informative outcomes.
 _FIRST_OUTCOME = {index[:2]: k for k, index in reversed(OUTCOME_RATIO_INDEX.items())}
 INFORMATIVE_OUTCOMES = tuple(sorted(_FIRST_OUTCOME.values()))
-_INFORMATIVE = np.array(INFORMATIVE_OUTCOMES) - 1
 
 
 def _measuring(row: int, col: int) -> tuple[int, int]:
@@ -184,18 +183,26 @@ def _measuring(row: int, col: int) -> tuple[int, int]:
     return k - 1, OUTCOME_RATIO_INDEX[k][2]
 
 
-# Columns of the degenerate-branch probes: x*/q (CaseI) and w/s (CaseII).
-_CASE_I_PROBE = _measuring(2, 1)[0]
-_CASE_II_PROBE = _measuring(0, 3)[0]
+# Off-diagonal (i, j), i < j, in the order u, v, w, x, y, z: the primary
+# outcome measures rho[i, j] / d and the fallback outcome rho[j, i] / d',
+# as (column, diagonal index) pairs.
+_UPPER = np.triu_indices(4, 1)
+_PRIMARY = np.array([_measuring(i, j) for i, j in zip(*_UPPER)]).T
+_FALLBACK = np.array([_measuring(j, i) for i, j in zip(*_UPPER)]).T
 
 
-def _element_ratios(stack: np.ndarray) -> np.ndarray:
-    """(N, 16) ratios read off the matrices through OUTCOME_RATIO_INDEX;
-    NaN where the ratio's diagonal is at or below TAU_DIAG."""
-    den = stack[:, _RATIO_DIAG, _RATIO_DIAG].real
-    readable = den > TAU_DIAG
-    return np.where(readable, stack[:, _RATIO_ROW, _RATIO_COL] / np.where(readable, den, 1.0),
-                    np.nan)
+def _elements(values: np.ndarray, defined: np.ndarray, diagonal: np.ndarray,
+              unmeasured) -> np.ndarray:
+    """(N, 6) off-diagonals u, v, w, x, y, z from (N, 16) weak values and
+    their defined mask and (N, 4) diagonals: ratio * diagonal from the
+    primary outcome, else from its conjugate partner, else ``unmeasured``
+    (a scalar or an (N, 6) array)."""
+    (k1, d1), (k2, d2) = _PRIMARY, _FALLBACK
+    return np.where(
+        defined[:, k1],
+        values[:, k1] * diagonal[:, d1],
+        np.where(defined[:, k2], values[:, k2].conj() * diagonal[:, d2], unmeasured),
+    )
 
 
 def joint_entries(stack: np.ndarray, perm: np.ndarray = PERM) -> tuple[np.ndarray, np.ndarray]:
@@ -230,161 +237,81 @@ def weak_values_batch(
     return values, probabilities, defined, np.sqrt(probabilities[:, _SQUARE_OUTCOMES])
 
 
-# The 24 terms of det(rho^TB)/(pqrs) as (sign, factors). Factor k is the
-# ratio outcome k measures and -k its conjugate. Two terms (|x|^2/(ps) and
-# |w|^2/(qr)) are not pure products of the twelve ratios: they carry the
-# diagonal cross-factors qr/(ps) and ps/(qr), which come from the same
-# post-selection statistics as the diagonals themselves. The comment on
-# each line names the term as an element-ratio product.
-_QR_PS, _PS_QR = 17, 18
-_BRACKET_TERMS = (
-    (+1, (1, 2, 3, 4)),          # + u u* z z* / pqrs
-    (-1, (2, -9, -12, 3)),       # - u v y* z* / pqrs
-    (-1, (2, 13, 15, 4)),        # - u w* x z / pqrs
-    (-1, (-2, 9, 12, -3)),       # - u* v* y z / pqrs
-    (-1, (-2, -13, -15, -4)),    # - u* w x* z* / pqrs
-    (+1, (9, 11, 10, 12)),       # + v v* y y* / pqrs
-    (-1, (11, 13, 14, 12)),      # - v w* x* y / pqrs
-    (-1, (-11, -13, -14, -12)),  # - v* w x y* / pqrs
-    (+1, (13, 16, 14, 15)),      # + w w* x x* / pqrs
-    (+1, (2, 11, 13)),           # + u v w* / pqr
-    (+1, (-2, -11, -13)),        # + u* v* w / pqr
-    (+1, (-1, -14, -12)),        # + u x y* / pqs
-    (+1, (1, 14, 12)),           # + u* x* y / pqs
-    (-1, (1, 2)),                # - u u* / pq
-    (+1, (-9, -15, -4)),         # + v x* z* / prs
-    (+1, (9, 15, 4)),            # + v* x z / prs
-    (-1, (9, 11)),               # - v v* / pr
-    (-1, (14, 15, _QR_PS)),      # - x x* / ps
-    (+1, (16, 10, 3)),           # + w y* z* / qrs
-    (+1, (-16, -10, -3)),        # + w* y z / qrs
-    (-1, (13, 16, _PS_QR)),      # - w w* / qr
-    (-1, (10, 12)),              # - y y* / qs
-    (-1, (3, 4)),                # - z z* / rs
-    (+1, ()),                    # + 1
+# det(rho^TB) as 24 signed products of four factors each: the diagonals
+# p, q, r, s, the off-diagonals u, v, w, x, y, z (rho[0, 1], rho[0, 2],
+# rho[0, 3], rho[1, 2], rho[1, 3], rho[2, 3]) and their conjugates (starred).
+# No term divides, so the polynomial holds on every state.
+_DET_TERMS = (
+    "+ u u* z z*", "- u v y* z*", "- u w* x z", "- u* v* y z", "- u* w x* z*",
+    "+ v v* y y*", "- v w* x* y", "- v* w x y*", "+ w w* x x*",
+    "+ u v w* s", "+ u* v* w s", "+ u x y* r", "+ u* x* y r", "- u u* r s",
+    "+ v x* z* q", "+ v* x z q", "- v v* q s", "- x x* q r",
+    "+ w y* z* p", "+ w* y z p", "- w w* p s", "- y y* p r", "- z z* p q",
+    "+ p q r s",
 )
-_TERM_SIGNS = np.array([sign for sign, _ in _BRACKET_TERMS], dtype=float)
-# Columns into [1, ratios 1..16, qr/(ps), ps/(qr), conj ratios 1..16];
-# missing factors are 1 (column 0).
-_TERM_FACTORS = np.array([(*factors, 0, 0, 0, 0)[:4] for _, factors in _BRACKET_TERMS])
-_TERM_FACTORS = np.where(_TERM_FACTORS >= 0, _TERM_FACTORS, _PS_QR - _TERM_FACTORS)
+_FACTORS = ("p", "q", "r", "s", "u", "v", "w", "x", "y", "z",
+            "u*", "v*", "w*", "x*", "y*", "z*")
+_TERM_SIGNS = np.array([1.0 if term[0] == "+" else -1.0 for term in _DET_TERMS])
+_TERM_FACTORS = np.array([[_FACTORS.index(f) for f in term.split()[1:]] for term in _DET_TERMS])
 
 
-def _bracket_terms(ratios: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """(N, 24) bracket terms from (N, 16) ratios and (N, 4) diagonals."""
-    p, q, r, s = diagonal.T
-    factors = np.concatenate([
-        np.ones((len(ratios), 1)), ratios,
-        ((q * r) / (p * s))[:, None], ((p * s) / (q * r))[:, None], ratios.conj(),
-    ], axis=1)
-    terms = _TERM_SIGNS * factors[:, _TERM_FACTORS[:, 0]]
-    for column in _TERM_FACTORS[:, 1:].T:
-        terms *= factors[:, column]
-    return terms
-
-
-def _bracket(ratios: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
-    """(N,) det(rho^TB)/(pqrs) (real part; the residue is roundoff)."""
-    return _bracket_terms(ratios, diagonal).sum(axis=1).real
+def _det_terms(diagonal: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """(N, 24) terms of det(rho^TB) from (N, 4) diagonals and (N, 6)
+    off-diagonals u..z; their sum is real up to roundoff."""
+    factors = np.concatenate([diagonal, elements, elements.conj()], axis=1)
+    return _TERM_SIGNS * factors[:, _TERM_FACTORS].prod(axis=2)
 
 
 def det_ptb_expansion(rho: TwoQubitState) -> float:
-    """det(rho^TB) as pqrs times the 24-term bracket that :func:`detect_batch`
-    evaluates, fed with the element ratios read off the matrix.
-
-    A diagonal at or below TAU_DIAG raises ZeroDiagonalError; the
-    degenerate decision branches handle those states.
-    """
-    diagonal = rho.matrix.diagonal().real[None]
-    if diagonal.min() <= TAU_DIAG:
-        p, q, r, s = diagonal[0]
-        raise ZeroDiagonalError(
-            f"diagonal ({p:.3e}, {q:.3e}, {r:.3e}, {s:.3e}) has a zero entry"
-        )
-    return float(diagonal.prod() * _bracket(_element_ratios(rho.matrix[None]), diagonal)[0])
+    """det(rho^TB) from the 24-term polynomial that :func:`detect_batch`
+    evaluates, fed with the matrix's own elements; valid on every state."""
+    m = rho.matrix
+    return float(_det_terms(m.diagonal().real[None], m[_UPPER][None]).sum().real)
 
 
 def detect_batch(stack: np.ndarray, *, tau_det: float = TAU_DET) -> BatchReport:
     """Decide entangled/separable for every state of an (N, 4, 4) stack
     from weak values and post-selection data.
 
-    Decision tree, per state:
-
-    * p or s is at or below TAU_DIAG (CaseI): the determinant collapses to
-      -|x|^2 qr, so the verdict is Separable when q or r is also at or below
-      it, else follows the outcome-14 probe x*/q.
-    * q or r is at or below TAU_DIAG (CaseII): the determinant collapses to
-      -|w|^2 ps and the outcome-16 probe w/s decides.
-    * otherwise (General): assemble the scaled determinant bracket from the
-      twelve ratios; entangled iff bracket < -tau_det/(pqrs).
-
-    A probe decides Entangled when its magnitude exceeds TAU_WV. A probe
-    whose outcome carries no signal is read off the matrix (e.g. the s=0
-    sub-case of CaseI). On the General path, diagonals in (TAU_DIAG, ~1e-6)
-    give probabilities at or below TAU_DEN; all twelve ratios are then read
-    off the matrix.
+    Each off-diagonal is its weak value times the measured diagonal, from
+    the primary outcome or else its conjugate partner; an element that no
+    outcome measures is read off the matrix. det(rho^TB) is the 24-term
+    polynomial in these elements and the diagonals, and every state is
+    entangled iff det < -tau_det. There is no decision tree: ``path`` only
+    labels the diagonals, CaseI when p or s is at or below TAU_DIAG, else
+    CaseII when q or r is, else General, where det_scaled is det/pqrs.
     """
     values, _, defined, diagonal = weak_values_batch(stack)
-    p, q, r, s = diagonal.T
-    # _element_ratios reads no ratio over a diagonal at or below TAU_DIAG,
-    # so exactly those states take a degenerate branch.
+    elements = _elements(values, defined, diagonal, stack[:, _UPPER[0], _UPPER[1]])
+    det_value = _det_terms(diagonal, elements).sum(axis=1).real
     small = diagonal <= TAU_DIAG
-    case_i = small[:, 0] | small[:, 3]
-    q_or_r = small[:, 1] | small[:, 2]
-    general = ~(case_i | q_or_r)
-
-    matrix = _element_ratios(stack)
-    probe = np.where(defined, values, matrix)
-    x_over_q = np.abs(probe[:, _CASE_I_PROBE])
-    w_over_s = np.abs(probe[:, _CASE_II_PROBE])
-    det_value = np.where(
-        case_i,
-        np.where(q_or_r, 0.0, -((x_over_q * q) ** 2) * q * r),
-        -((w_over_s * s) ** 2) * p * s,
-    )
-    entangled = np.where(case_i, ~q_or_r & (x_over_q > TAU_WV), w_over_s > TAU_WV)
-
-    silent = ~defined[general][:, _INFORMATIVE].all(axis=1)
-    ratios = np.where(silent[:, None], matrix[general], values[general])
-    bracket = _bracket(ratios, diagonal[general])
-    pqrs = diagonal[general].prod(axis=1)
-    det_scaled = np.full(len(diagonal), np.nan)
-    det_scaled[general] = bracket
-    det_value[general] = bracket * pqrs
-    entangled[general] = bracket < -(tau_det / pqrs)
-    if np.isnan(det_value).any():
-        raise NoSignalError("a ratio the decision needs has no signal and its "
-                            f"diagonal is at or below {TAU_DIAG:.0e}")
+    path = np.where(small[:, 0] | small[:, 3], 1, np.where(small[:, 1] | small[:, 2], 2, 0))
+    pqrs = diagonal.prod(axis=1)
+    general = path == 0
     return BatchReport(
         weak_values=values,
         defined=defined,
         diagonal=diagonal,
-        path=np.where(general, 0, np.where(case_i, 1, 2)),
-        entangled=entangled,
-        det_scaled=det_scaled,
+        path=path,
+        entangled=det_value < -tau_det,
+        det_scaled=np.where(general, det_value / np.where(general, pqrs, 1.0), np.nan),
         det_value=det_value,
     )
 
 
 def detect(rho: TwoQubitState, *, tau_det: float = TAU_DET) -> DetectionReport:
     """Decide entangled/separable from weak values and post-selection data
-    (one state; see :func:`detect_batch` for the decision tree)."""
+    (one state; see :func:`detect_batch` for the decision)."""
     return detect_batch(rho.matrix[None], tau_det=tau_det).report(0)
-
-
-# Off-diagonal (i, j), i < j: the primary outcome measures rho[i, j] / d and
-# the fallback outcome rho[j, i] / d', as (column, diagonal index) pairs.
-_UPPER = np.triu_indices(4, 1)
-_PRIMARY = np.array([_measuring(i, j) for i, j in zip(*_UPPER)]).T
-_FALLBACK = np.array([_measuring(j, i) for i, j in zip(*_UPPER)]).T
 
 
 def reconstruct_batch(values: np.ndarray, defined: np.ndarray, diagonal: np.ndarray) -> np.ndarray:
     """Rebuild (N, 4, 4) density matrices from weak values and their defined
     mask (N, 16) and measured diagonals (N, 4).
 
-    Off-diagonals come from ratio * diagonal, falling back to the conjugate
-    partner outcome and finally to 0 when neither outcome carried signal.
+    Off-diagonals come from the element gather that :func:`detect_batch`
+    uses: ratio * diagonal, falling back to the conjugate partner outcome
+    and finally to 0 when neither outcome carried signal.
     The diagonal is renormalized to sum exactly 1 and the result is
     validated (positivity within RECONSTRUCT_POSITIVITY_TOL; a failure signals
     inconsistent input data). Returns the validated stack. A rebuilt matrix
@@ -400,12 +327,7 @@ def reconstruct_batch(values: np.ndarray, defined: np.ndarray, diagonal: np.ndar
     if off.any():
         raise ValueError(f"diagonals sum to {total[off][0]!r}, expected 1 within 1e-6")
     diagonal = diagonal / total[:, None]
-    (k1, d1), (k2, d2) = _PRIMARY, _FALLBACK
-    upper = np.where(
-        defined[:, k1],
-        values[:, k1] * diagonal[:, d1],
-        np.where(defined[:, k2], values[:, k2].conj() * diagonal[:, d2], 0.0),
-    )
+    upper = _elements(values, defined, diagonal, 0.0)
     m = np.zeros((len(diagonal), 4, 4), dtype=complex)
     m[:, _UPPER[0], _UPPER[1]] = upper
     m[:, _UPPER[1], _UPPER[0]] = upper.conj()
@@ -416,6 +338,7 @@ def reconstruct_batch(values: np.ndarray, defined: np.ndarray, diagonal: np.ndar
         # An unmeasured element between two non-zero diagonals may be
         # non-zero in the true state; rebuilt as 0 it can break positivity.
         rows, cols = _UPPER
+        (k1, _), (k2, _) = _PRIMARY, _FALLBACK
         failed = np.linalg.eigvalsh(m)[:, 0] < -RECONSTRUCT_POSITIVITY_TOL
         lost = ~(defined[:, k1] | defined[:, k2]) & (diagonal[:, rows] * diagonal[:, cols] > 0)
         culprits = np.flatnonzero(failed & lost.any(axis=1))

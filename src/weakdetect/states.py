@@ -10,8 +10,8 @@ with named elements
 
 where p, q, r, s are real non-negative diagonals summing to 1 and
 u, v, w, x, y, z are complex. The module provides validation, the
-partial-transpose verdict oracle used as ground truth (the 24-term
-determinant expansion in element ratios lives in ``protocol``, next to the
+partial-transpose verdict oracle used as ground truth (det(rho^TB) as one
+24-term polynomial in these elements lives in ``protocol``, next to the
 weak values that measure them), trace distances, and random-state
 generators.
 """
@@ -50,12 +50,6 @@ class PositivityError(StateValidationError):
 
 class NormalizationError(StateValidationError):
     """Pure-state amplitudes are not normalized."""
-
-
-class ZeroDiagonalError(ValueError):
-    """A diagonal element is (numerically) zero where the element-ratio
-    expansion needs to divide by it; callers should use the degenerate
-    decision branches instead."""
 
 
 class SchemaError(ValueError):

@@ -90,7 +90,7 @@ def test_criterion_02_expansion_fidelity():
         rel = abs(det_ptb_expansion(rho) - lu) / abs(lu)
         worst = max(worst, rel)
         assert rel <= 1e-10
-    _report(2, f"24-term bracket on element ratios matches LU determinant on "
+    _report(2, f"24-term polynomial on the matrix elements matches LU determinant on "
                f"1000 states (worst relative deviation {worst:.2e})")
 
 

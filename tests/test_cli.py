@@ -115,9 +115,16 @@ class TestDetect:
         assert code == 0
         assert json.loads(out)["verdict"] == "Separable"
 
+    def test_tol_det_applies_on_every_path(self, capsys, bell_file):
+        # Bell is labelled CaseII, and det(rho^TB) = -1/16 is above -1.0
+        code, out = run_main(capsys, ["detect", "--input", bell_file, "--tol-det", "1.0"])
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["path"], doc["verdict"]) == ("CaseII", "Separable")
+
     def test_smallest_diagonal_exactly_tau_diag(self, capsys, tmp_path):
-        # s = TAU_DIAG exactly: no ratio over s can be read, so the state
-        # takes CaseI, whose verdict agrees with the oracle
+        # s = TAU_DIAG exactly: the state is labelled CaseI, and its verdict
+        # agrees with the oracle
         psi = np.array([0.6, 0.48, 0.64, 0.0])
         rho = validate((1 - 4 * TAU_DIAG) * np.outer(psi, psi) + TAU_DIAG * np.eye(4))
         assert rho.matrix[3, 3] == TAU_DIAG

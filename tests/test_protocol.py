@@ -10,10 +10,9 @@ from weakdetect.protocol import (
     NoSignalError,
     TAU_DEN,
     TAU_DIAG,
-    TAU_WV,
-    _CASE_I_PROBE,
-    _CASE_II_PROBE,
-    _bracket_terms,
+    _FALLBACK,
+    _PRIMARY,
+    _det_terms,
     detect,
     detect_batch,
     detect_pure_local,
@@ -25,6 +24,7 @@ from weakdetect.states import (
     PositivityError,
     PureAmplitudes,
     Verdict,
+    ppt_entangled,
     ppt_oracle,
     random_mixed,
     random_pure,
@@ -56,51 +56,44 @@ RATIO_ORACLE = {
 }
 
 
-def oracle_ratios(m):
-    """(16,) ratios from RATIO_ORACLE, outcome k at index k - 1 (0 at the
-    redundant outcomes 5-8, which no bracket term reads)."""
-    ratios = np.zeros(16, dtype=complex)
-    for k, oracle in RATIO_ORACLE.items():
-        ratios[k - 1] = oracle(m)
-    return ratios
-
-
-def oracle_bracket_terms(m):
-    """The 24 bracket terms of ``detect_batch`` fed with oracle ratios."""
-    return _bracket_terms(oracle_ratios(m)[None], np.diag(m).real[None])[0]
+def oracle_det_terms(m):
+    """The 24 terms of the table ``detect_batch`` evaluates, fed with the
+    matrix's own diagonals and off-diagonals u, v, w, x, y, z."""
+    u, v, w, x, y, z = m[0, 1], m[0, 2], m[0, 3], m[1, 2], m[1, 3], m[2, 3]
+    return _det_terms(np.diag(m).real[None], np.array([[u, v, w, x, y, z]]))[0]
 
 
 def element_terms(m):
-    """The 24 terms of det(rho^TB)/(pqrs) as element expressions."""
+    """The 24 terms of det(rho^TB) as element expressions."""
     p, q, r, s = np.diag(m).real
     u, v, w = m[0, 1], m[0, 2], m[0, 3]
     x, y, z = m[1, 2], m[1, 3], m[2, 3]
     c = np.conj
     return [
-        +u * c(u) * z * c(z) / (p * q * r * s),
-        -u * v * c(y) * c(z) / (p * q * r * s),
-        -u * c(w) * x * z / (p * q * r * s),
-        -c(u) * c(v) * y * z / (p * q * r * s),
-        -c(u) * w * c(x) * c(z) / (p * q * r * s),
-        +v * c(v) * y * c(y) / (p * q * r * s),
-        -v * c(w) * c(x) * y / (p * q * r * s),
-        -c(v) * w * x * c(y) / (p * q * r * s),
-        +w * c(w) * x * c(x) / (p * q * r * s),
-        +u * v * c(w) / (p * q * r),
-        +c(u) * c(v) * w / (p * q * r),
-        +u * x * c(y) / (p * q * s),
-        +c(u) * c(x) * y / (p * q * s),
-        -u * c(u) / (p * q),
-        +v * c(x) * c(z) / (p * r * s),
-        +c(v) * x * z / (p * r * s),
-        -v * c(v) / (p * r),
-        -x * c(x) / (p * s),
-        +w * c(y) * c(z) / (q * r * s),
-        +c(w) * y * z / (q * r * s),
-        -w * c(w) / (q * r),
-        -y * c(y) / (q * s),
-        -z * c(z) / (r * s),
-        1.0,
+        +u * c(u) * z * c(z),
+        -u * v * c(y) * c(z),
+        -u * c(w) * x * z,
+        -c(u) * c(v) * y * z,
+        -c(u) * w * c(x) * c(z),
+        +v * c(v) * y * c(y),
+        -v * c(w) * c(x) * y,
+        -c(v) * w * x * c(y),
+        +w * c(w) * x * c(x),
+        +u * v * c(w) * s,
+        +c(u) * c(v) * w * s,
+        +u * x * c(y) * r,
+        +c(u) * c(x) * y * r,
+        -u * c(u) * r * s,
+        +v * c(x) * c(z) * q,
+        +c(v) * x * z * q,
+        -v * c(v) * q * s,
+        -x * c(x) * q * r,
+        +w * c(y) * c(z) * p,
+        +c(w) * y * z * p,
+        -w * c(w) * p * s,
+        -y * c(y) * p * r,
+        -z * c(z) * p * q,
+        p * q * r * s,
     ]
 
 
@@ -218,10 +211,12 @@ class TestWeakValuesAll:
             assert abs(m[row, col] / m[diag, diag].real - want) <= 1e-12 * (1 + abs(want))
 
     def test_derived_outcome_lists(self):
-        # the informative outcomes and the degenerate-branch probes are
-        # derived from OUTCOME_RATIO_INDEX, not typed in
+        # the informative outcomes and the outcomes measuring u, v, w, x, y, z
+        # (primary) or their conjugates (fallback) are derived from
+        # OUTCOME_RATIO_INDEX, not typed in
         assert INFORMATIVE_OUTCOMES == tuple(RATIO_ORACLE)
-        assert (_CASE_I_PROBE + 1, _CASE_II_PROBE + 1) == (14, 16)
+        assert tuple(_PRIMARY[0] + 1) == (2, 11, 16, 15, 12, 4)
+        assert tuple(_FALLBACK[0] + 1) == (1, 9, 13, 14, 10, 3)
 
 
 class TestDiagonalsFromPostselection:
@@ -248,27 +243,28 @@ class TestDetBracket:
     @given(seeds)
     def test_matches_determinant(self, seed):
         rho = random_mixed(seed)
-        diag = rho.diagonal()
-        bracket = oracle_bracket_terms(rho.matrix).sum().real
-        pqrs = np.prod(diag)
+        det = oracle_det_terms(rho.matrix).sum().real
+        pqrs = np.prod(rho.diagonal())
         lu = det_ptb(rho)
-        assert abs(bracket * pqrs - lu) <= 1e-10 * max(abs(lu), pqrs)
+        assert abs(det - lu) <= 1e-10 * max(abs(lu), pqrs)
 
     @given(seeds)
     def test_ratio_route_equals_element_route(self, seed):
         rho = random_mixed(seed)
         via_wv = detect_batch(rho.matrix[None]).det_scaled[0]
-        via_elements = oracle_bracket_terms(rho.matrix).sum().real
+        via_elements = oracle_det_terms(rho.matrix).sum().real / np.prod(rho.diagonal())
         assert via_wv == pytest.approx(via_elements, rel=1e-9, abs=1e-12)
 
     def test_term_table_audit(self):
         """Each documented term must equal its direct element expression."""
         rho = random_mixed(99)
-        terms = oracle_bracket_terms(rho.matrix)
+        terms = oracle_det_terms(rho.matrix)
         expected = element_terms(rho.matrix)
+        pqrs = np.prod(rho.diagonal())
         assert len(terms) == 24
+        # abs is relative to pqrs, the scale of the terms
         for got, want in zip(terms, expected):
-            assert got == pytest.approx(want, rel=1e-10, abs=1e-13)
+            assert got == pytest.approx(want, rel=1e-10, abs=1e-13 * pqrs)
 
     @given(seeds)
     def test_conjugate_consistency(self, seed):
@@ -321,14 +317,15 @@ class TestDetect:
         )
 
     def test_rank_deficient_s_zero_probes_x(self):
-        # s = 0 silences every outcome that measures x; the probe falls back
-        # to the matrix element and still classifies correctly
+        # s = 0 silences every outcome that measures x; x is read off the
+        # matrix and the polynomial still classifies correctly
         psi = np.array([0.6, 0.48, 0.64, 0.0], dtype=complex)
         rho = validate(np.outer(psi, psi.conj()))
         report = detect(rho)
         assert report.path is DecisionPath.CASE_I
         assert report.verdict is Verdict.ENTANGLED
         assert ppt_oracle(rho) is Verdict.ENTANGLED
+        assert report.det_value == pytest.approx(det_ptb(rho), rel=1e-10)
 
     @given(seeds)
     def test_verdict_agreement(self, seed):
@@ -351,22 +348,18 @@ class TestDetect:
 
 
 def reference_decision(m):
-    """(path, entangled, det(rho^TB), roundoff scale of det) from element
-    ratios read off the matrix, by the decision tree of ``detect``."""
+    """(path, entangled, det(rho^TB), roundoff scale of det) from the element
+    polynomial on the matrix's own elements; the path labels the diagonals."""
     p, q, r, s = np.diag(m).real
     if p <= TAU_DIAG or s <= TAU_DIAG:
-        if q <= TAU_DIAG or r <= TAU_DIAG:
-            return DecisionPath.CASE_I, False, 0.0, 0.0
-        x_over_q = abs(m[1, 2]) / q
-        return DecisionPath.CASE_I, x_over_q > TAU_WV, -((x_over_q * q) ** 2) * q * r, 0.0
-    if q <= TAU_DIAG or r <= TAU_DIAG:
-        w_over_s = abs(m[0, 3]) / s
-        return DecisionPath.CASE_II, w_over_s > TAU_WV, -((w_over_s * s) ** 2) * p * s, 0.0
+        path = DecisionPath.CASE_I
+    elif q <= TAU_DIAG or r <= TAU_DIAG:
+        path = DecisionPath.CASE_II
+    else:
+        path = DecisionPath.GENERAL
     terms = element_terms(m)
-    pqrs = p * q * r * s
-    bracket = sum(terms).real
-    return (DecisionPath.GENERAL, bracket < -TAU_DET / pqrs, bracket * pqrs,
-            pqrs * sum(abs(t) for t in terms))
+    det = sum(terms).real
+    return path, det < -TAU_DET, det, sum(abs(t) for t in terms)
 
 
 def mixed_stack(seed):
@@ -385,7 +378,7 @@ def mixed_stack(seed):
     for bell_vector in ((h, 0, 0, h), (h, 0, 0, -h), (0, h, h, 0), (0, h, -h, 0)):
         mats.append(np.outer(bell_vector, bell_vector).astype(complex))
     mats += [basis_state(i).matrix for i in range(4)]
-    for a, b in ((1, 2), (0, 3)):  # CaseI (p = s = 0), CaseII (q = r = 0)
+    for a, b in ((1, 2), (0, 3)):  # labelled CaseI (p = s = 0), CaseII (q = r = 0)
         g = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
         block = g @ g.conj().T
         m = np.zeros((4, 4), dtype=complex)
@@ -401,16 +394,48 @@ def mixed_stack(seed):
         mats.append((1 - t) * np.outer(first, first.conj()) + t * random_mixed(rng).matrix)
     mats += [np.diag(rng.dirichlet(np.ones(4))).astype(complex) for _ in range(2)]
     mats.append(np.diag([0.5, 0.0, 0.25, 0.25]).astype(complex))
-    # smallest diagonal s = 1e-8: General, with every ratio read off the
-    # matrix (outcome 16 is silent); s = 1e-12: below TAU_DIAG, so CaseI
+    # smallest diagonal s = 1e-8: General, with w from its conjugate partner
+    # (outcome 16 is silent); s = 1e-12: below TAU_DIAG, so labelled CaseI,
+    # with w and x read off the matrix (outcomes 13-16 are silent)
     for s in (1e-8, 1e-12):
         v = haar()
         v[3] = 0
         mats.append((1 - 4 * s) * np.outer(v, v.conj()) / np.vdot(v, v).real + s * np.eye(4))
-    # s exactly TAU_DIAG: no ratio over s can be read, so CaseI as well
+    # s exactly TAU_DIAG: labelled CaseI as well
     psi = np.array([0.6, 0.48, 0.64, 0.0])
     mats.append((1 - 4 * TAU_DIAG) * np.outer(psi, psi) + TAU_DIAG * np.eye(4))
     return validate_batch(np.array(mats))
+
+
+def product_stack(rng, n):
+    """(n, 4, 4) product pure states a x b, with |a_1| and |b_1| log-uniform
+    in [1e-7, 1e-2] and random phases on every amplitude."""
+    def factor():
+        small = 10.0 ** rng.uniform(-7.0, -2.0, n)
+        phases = np.exp(2j * np.pi * rng.random((n, 2)))
+        return np.stack([np.sqrt(1 - small**2), small], axis=1) * phases
+
+    v = (factor()[:, :, None] * factor()[:, None, :]).reshape(n, 4)
+    return validate_batch(v[:, :, None] * v.conj()[:, None, :])
+
+
+class TestProductStates:
+    # small second amplitudes make s = |a_1 b_1|^2 tiny (1e-28 to 1e-8)
+    # while q and r stay far above it
+    @given(seeds)
+    def test_small_amplitude_products_are_separable(self, seed):
+        stack = product_stack(np.random.default_rng(seed), 80)
+        assert not ppt_entangled(stack).any()
+        assert not detect_batch(stack).entangled.any()
+
+    def test_named_product_is_separable(self):
+        # a = b proportional to (1, 1e-3): s = 1e-12, q = r = 1e-6
+        a = np.array([1.0, 1e-3]) / np.hypot(1.0, 1e-3)
+        v = np.kron(a, a)
+        rho = validate(np.outer(v, v))
+        report = detect(rho)
+        assert report.path is DecisionPath.CASE_I
+        assert report.verdict is Verdict.SEPARABLE is ppt_oracle(rho)
 
 
 class TestDetectBatch:
@@ -435,6 +460,17 @@ class TestDetectBatch:
                                     batch.diagonal[diagonal])
         assert len(rebuilt) == 7  # basis and diagonal states
         assert np.all(rebuilt - rebuilt * np.eye(4) == 0)
+
+    def test_oracle_disagreements_lie_in_the_gate_band(self):
+        # every verdict that differs from the partial-transpose oracle has
+        # |det| <= TAU_DET, the band of an absolute determinant gate. Seeds
+        # 0-499 hold two such rows: seed 185's s = 1e-8 mix and seed 160's
+        # pure state with s = 0 and q = 3e-5 (det -4.3e-10, smallest
+        # partial-transpose eigenvalue -4.5e-3).
+        stack = np.concatenate([mixed_stack(seed) for seed in range(500)])
+        batch = detect_batch(stack)
+        off = batch.entangled != ppt_entangled(stack)
+        assert np.all(np.abs(batch.det_value[off]) <= TAU_DET)
 
 
 class TestReconstruct:

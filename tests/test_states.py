@@ -14,7 +14,6 @@ from weakdetect.states import (
     TraceError,
     TwoQubitState,
     Verdict,
-    ZeroDiagonalError,
     amplitudes_from_json_dict,
     bell_phi_plus,
     ppt_oracle,
@@ -150,9 +149,19 @@ class TestDetPtbExpansion:
         lu = det_ptb(rho)
         assert abs(det_ptb_expansion(rho) - lu) <= 1e-10 * abs(lu)
 
-    def test_zero_diagonal_rejected(self, bell):
-        with pytest.raises(ZeroDiagonalError):
-            det_ptb_expansion(bell)
+    def test_degenerate_states_match_lu(self, bell):
+        # zero diagonals: the polynomial divides by none of them
+        psi_plus = np.array([0.0, 1.0, 1.0, 0.0]) / np.sqrt(2)
+        s_zero = np.array([0.6, 0.48, 0.64, 0.0])
+        assert det_ptb_expansion(bell) == pytest.approx(-1 / 16, abs=1e-14)
+        for rho in [bell] + [validate(np.outer(v, v.conj())) for v in (psi_plus, s_zero)]:
+            lu = det_ptb(rho)
+            assert abs(det_ptb_expansion(rho) - lu) <= 1e-10 * abs(lu)
+        # det(rho^TB) = 0: an absolute bound
+        product = np.kron([0.6, 0.8j], [0.8, 0.6])
+        for m in (np.outer(product, product.conj()), np.diag([0.5, 0.0, 0.25, 0.25])):
+            rho = validate(m)
+            assert abs(det_ptb_expansion(rho) - det_ptb(rho)) <= 1e-14
 
 
 class TestPptOracle:
