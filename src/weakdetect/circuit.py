@@ -146,15 +146,3 @@ def unitary_vs_hamiltonian(epsilon: float) -> float:
     """Max-entry deviation between U(eps) and exp(-i eps H)."""
     direct = weak_interaction_unitary(epsilon)
     return float(np.max(np.abs(direct - _exp_involution(HAMILTONIAN, epsilon))))
-
-
-def format_circuit(spec: CircuitSpec) -> str:
-    """Plain-text gate list: label, controls, targets."""
-    lines = [f"circuit (epsilon = {spec.epsilon!r})"]
-    for i, gate in enumerate(spec.gates, start=1):
-        controls = (
-            ", ".join(f"q{c}={v}" for c, v in gate.controls) if gate.controls else "-"
-        )
-        targets = ", ".join(f"q{t}" for t in gate.targets)
-        lines.append(f"{i}. {gate.label:10s} controls: {controls:24s} targets: {targets}")
-    return "\n".join(lines)

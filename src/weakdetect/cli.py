@@ -156,19 +156,20 @@ def cmd_tomo(cfg: argparse.Namespace):
 
 def cmd_pointer_sim(cfg: argparse.Namespace):
     rho = _load_state(cfg)
-    values, *_ = protocol.weak_values_batch(rho.matrix[None])
-    exact = values[0].tolist()
+    flipped, probabilities = (a[0] for a in protocol.joint_entries(rho.matrix[None]))
     try:
-        full = pointer.estimate_weak_values(rho, _sim_config(cfg))
-        half = pointer.estimate_weak_values(rho, _sim_config(cfg, epsilon=cfg.epsilon / 2))
+        full = pointer.estimate_weak_values(flipped, probabilities, _sim_config(cfg))
+        half = pointer.estimate_weak_values(flipped, probabilities,
+                                            _sim_config(cfg, epsilon=cfg.epsilon / 2))
     except ValueError as exc:  # the pointer module's own range checks on the flags
         raise _UsageError(str(exc)) from exc
     half_by_k = {ro.k: ro for ro in half}
     outcomes = {}
     errors, errors_half = [], []
-    # estimate_weak_values keeps only outcomes whose weak value is defined.
+    # estimate_weak_values keeps only outcomes whose weak value is defined,
+    # so this is the division weak_values_batch performs.
     for readout in full:
-        exact_value = exact[readout.k - 1]
+        exact_value = complex(flipped[readout.k - 1] / probabilities[readout.k - 1])
         err = abs(readout.estimate - exact_value)
         errors.append(err)
         entry = {
@@ -229,7 +230,12 @@ def cmd_circuit_verify(cfg: argparse.Namespace):
 
 def cmd_robustness(cfg: argparse.Namespace):
     rho = _load_state(cfg)
-    report = robustness.bound_check(rho, cfg.delta, cfg.trials, cfg.seed)
+    try:
+        report = robustness.bound_check(rho, cfg.delta, cfg.trials, cfg.seed)
+    except robustness.RankDeficientError:
+        raise
+    except ValueError as exc:  # the robustness module's own range checks on the flags
+        raise _UsageError(str(exc)) from exc
     doc = {"command": "robustness", **report.to_json_dict()}
     return doc, report.csv_rows(), EXIT_OK
 

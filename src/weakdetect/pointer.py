@@ -19,10 +19,12 @@ therefore the 2x2 mixture
 
     P |phi_s><phi_s| + N* |phi_s><phi_d| + N |phi_d><phi_s| + Q |phi_d><phi_d|,
 
-with P = J[j, j], N = J[pi(j), j] and Q = J[pi(j), pi(j)] gathered from
-rho. Each moment sum is the contraction of these four coefficients with
-the overlaps <phi_b|O|phi_a> for O = 1, x, x^2, p, p^2, a table built once
-per (grid, sigma, epsilon) and process. The translation is spectral
+with P = J[j, j], N = J[pi(j), j] and Q = J[pi(j), pi(j)]. These come
+from the caller's one gather, protocol.joint_entries, passed in as
+(flipped, probabilities); the layer never reads rho itself. Each moment
+sum is the contraction of these four coefficients with the overlaps
+<phi_b|O|phi_a> for O = 1, x, x^2, p, p^2, a table built once per (grid,
+sigma, epsilon) and process. The translation is spectral
 (multiplication by exp(-i epsilon p) in the Fourier domain, exact for waves
 with negligible boundary tails) and momentum moments are sums over the FFT
 grid.
@@ -36,11 +38,18 @@ from functools import lru_cache
 
 import numpy as np
 
-from .protocol import PERM, TAU_DEN, joint_entries
-from .states import TwoQubitState
+from .protocol import PERM, TAU_DEN
 
 
 MAX_GRID_N = 2**20
+
+
+def _check_square(name: str, value: float) -> None:
+    # The overlap table squares the largest position, the largest momentum,
+    # the spacing and sigma; each square must be a finite, non-zero float.
+    if not 0.0 < value * value < np.inf:
+        raise ValueError(f"{name} {value!r} is out of range: its square must be "
+                         "finite and non-zero")
 
 
 @dataclass(frozen=True)
@@ -59,6 +68,13 @@ class PointerGrid:
             raise ValueError(f"grid size must be at most {MAX_GRID_N}, got {self.n}")
         if not self.half_extent > 0:
             raise ValueError("half_extent must be positive")
+        _check_square("grid half-extent", self.half_extent)
+        _check_square("grid spacing", self.dx)
+        _check_square("grid momentum cutoff pi/dx", np.pi / self.dx)
+        # The table weighs x^2 by dx, so that product must be finite too.
+        if not self.half_extent * self.half_extent * self.dx < np.inf:
+            raise ValueError(f"grid half-extent {self.half_extent!r} is out of range: "
+                             "the position weight L^2 dx overflows")
 
     @property
     def dx(self) -> float:
@@ -73,29 +89,15 @@ class PointerGrid:
         return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
-@dataclass(frozen=True, eq=False)
-class PointerWave:
-    """Normalized wavefunction sampled on a PointerGrid."""
-
-    grid: PointerGrid
-    amplitudes: np.ndarray
-
-    def __post_init__(self) -> None:
-        if self.amplitudes.shape != (self.grid.n,):
-            raise ValueError("amplitude array does not match the grid")
-        norm = float(np.sum(np.abs(self.amplitudes) ** 2) * self.grid.dx)
-        if not np.isfinite(norm) or abs(norm - 1.0) > 1e-10:
-            raise ValueError(f"wave norm is {norm!r}, expected 1")
-        self.amplitudes.setflags(write=False)
-
-
 @dataclass(frozen=True)
 class SimConfig:
     """Weak-measurement simulation parameters.
 
     ``epsilon`` is the dimensionless coupling; the weak regime cap is
     enforced. epsilon = 0 is allowed (no coupling) for probability checks,
-    but readout needs epsilon > 0.
+    but readout needs epsilon > 0. The grid must hold the pointer in both
+    domains: the half-extent at least 10 sigma, and the momentum cutoff
+    pi/dx at least 10 momentum widths 1/(2 sigma).
     """
 
     epsilon: float
@@ -107,6 +109,17 @@ class SimConfig:
             raise ValueError(f"epsilon must be in [0, 0.1], got {self.epsilon}")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
+        _check_square("sigma", self.sigma)
+        if self.grid.half_extent < 10.0 * self.sigma:
+            raise ValueError(
+                f"grid half-extent {self.grid.half_extent} too small for sigma {self.sigma} "
+                "(need >= 10 sigma to keep boundary tails negligible)"
+            )
+        if self.sigma < 5.0 * self.grid.dx / np.pi:
+            raise ValueError(
+                f"grid spacing {self.grid.dx} too coarse for sigma {self.sigma} "
+                "(need sigma >= 5 dx / pi to keep momentum tails negligible)"
+            )
 
 
 @dataclass(frozen=True)
@@ -116,33 +129,28 @@ class WeakReadout:
     postselect_prob: float
 
 
-def default_grid() -> PointerGrid:
-    return PointerGrid(n=4096, half_extent=40.0)
-
-
 def default_config(epsilon: float = 1e-3, sigma: float = 1.0) -> SimConfig:
-    return SimConfig(epsilon=epsilon, sigma=sigma, grid=default_grid())
+    return SimConfig(epsilon=epsilon, sigma=sigma, grid=PointerGrid(n=4096, half_extent=40.0))
 
 
-def gaussian_pointer(sigma: float, grid: PointerGrid) -> PointerWave:
+def gaussian_pointer(sigma: float, grid: PointerGrid) -> np.ndarray:
     """Gaussian exp(-x^2/(4 sigma^2)) normalized on the grid (Var(x) = sigma^2)."""
-    if grid.half_extent < 10.0 * sigma:
-        raise ValueError(
-            f"grid half-extent {grid.half_extent} too small for sigma {sigma} "
-            "(need >= 10 sigma to keep boundary tails negligible)"
-        )
     x = grid.positions
     amp = np.exp(-(x**2) / (4.0 * sigma**2)).astype(complex)
     amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * grid.dx)
-    return PointerWave(grid, amp)
+    return amp
 
 
-def translate(wave: PointerWave, delta: float) -> PointerWave:
+def translate(wave: np.ndarray, grid: PointerGrid, delta: float) -> np.ndarray:
     """Shift the wave by delta via the Fourier domain (exact for clean tails)."""
-    shifted = np.fft.ifft(np.fft.fft(wave.amplitudes) * np.exp(-1j * wave.grid.momenta * delta))
-    return PointerWave(wave.grid, shifted)
+    return np.fft.ifft(np.fft.fft(wave) * np.exp(-1j * grid.momenta * delta))
 
 
+# One entry is under 1 kB. A run that cycles through more configs than the
+# cache holds would miss on every call, so the bound leaves room for a sweep
+# over a few grids, sigmas and epsilons (pointer-sim asks for epsilon and
+# epsilon / 2).
+@lru_cache(maxsize=64)
 def pointer_overlaps(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     """Overlaps of the post-selected pointer's basis, and the input pointer's moments.
 
@@ -154,20 +162,11 @@ def pointer_overlaps(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     The pair is built once per config and process and shared between
     callers, so both arrays are read-only.
     """
-    return _overlap_table(cfg)
-
-
-# One entry is under 1 kB. A run that cycles through more configs than the
-# cache holds would miss on every call, so the bound leaves room for a sweep
-# over a few grids, sigmas and epsilons (pointer-sim asks for epsilon and
-# epsilon / 2).
-@lru_cache(maxsize=64)
-def _overlap_table(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     grid = cfg.grid
     phi_in = gaussian_pointer(cfg.sigma, grid)
-    plus = translate(phi_in, +cfg.epsilon).amplitudes
-    minus = translate(phi_in, -cfg.epsilon).amplitudes
-    waves = np.stack([(plus + minus) / 2, (plus - minus) / 2, phi_in.amplitudes])
+    plus = translate(phi_in, grid, +cfg.epsilon)
+    minus = translate(phi_in, grid, -cfg.epsilon)
+    waves = np.stack([(plus + minus) / 2, (plus - minus) / 2, phi_in])
     x, p = grid.positions, grid.momenta
     position = np.einsum("bj,mj,aj->abm", waves.conj(),
                          np.stack([np.ones_like(x), x, x**2]) * grid.dx, waves)
@@ -182,18 +181,20 @@ def _overlap_table(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
     return overlaps, reference
 
 
-def moment_table(rho: TwoQubitState, overlaps: np.ndarray) -> np.ndarray:
+def moment_table(flipped: np.ndarray, probabilities: np.ndarray,
+                 overlaps: np.ndarray) -> np.ndarray:
     """(16, 5) moment sums of the unnormalised post-selected pointer, outcome
     k in row k - 1. The columns are the post-selection probability,
     sum x, sum x^2, sum p and sum p^2.
 
-    ``overlaps`` is the first table of :func:`pointer_overlaps`. Every row,
-    silent outcomes included, contracts it with the 2x2 coefficients of the
-    module docstring.
+    ``flipped`` and ``probabilities`` are one state's row of
+    :func:`protocol.joint_entries`, J[PERM[j], j] and J[j, j]. ``overlaps``
+    is the first table of :func:`pointer_overlaps`. Every row, silent
+    outcomes included, contracts it with the 2x2 coefficients of the module
+    docstring.
     """
-    flipped, probabilities = joint_entries(rho.matrix[None])
-    p, n = probabilities[0], flipped[0]
-    coefficients = np.array([[p, n.conj()], [n, p[PERM]]])
+    coefficients = np.array([[probabilities, flipped.conj()],
+                             [flipped, probabilities[PERM]]])
     return np.einsum("abk,abm->km", coefficients, overlaps).real
 
 
@@ -214,8 +215,10 @@ def readout_weak_value(
     return real + 1j * imag
 
 
-def estimate_weak_values(rho: TwoQubitState, cfg: SimConfig) -> list[WeakReadout]:
-    """Pointer-simulated weak values for every outcome that carries signal.
+def estimate_weak_values(flipped: np.ndarray, probabilities: np.ndarray,
+                         cfg: SimConfig) -> list[WeakReadout]:
+    """Pointer-simulated weak values for every outcome that carries signal,
+    from one state's row of :func:`protocol.joint_entries`.
 
     Outcomes are screened on the pre-interaction probability
     <u_k| rho x rho |u_k> (the "no signal before coupling" check), since
@@ -224,11 +227,11 @@ def estimate_weak_values(rho: TwoQubitState, cfg: SimConfig) -> list[WeakReadout
     post-selection probability is below TAU_DEN is left out as well.
     """
     overlaps, reference = pointer_overlaps(cfg)
-    sums = moment_table(rho, overlaps)
-    signal = (joint_entries(rho.matrix[None])[1][0] > TAU_DEN) & (sums[:, 0] >= TAU_DEN)
+    sums = moment_table(flipped, probabilities, overlaps)
+    signal = (probabilities > TAU_DEN) & (sums[:, 0] >= TAU_DEN)
     estimates = readout_weak_value(sums[signal], reference, cfg.epsilon, cfg.sigma)
-    probabilities = np.clip(sums[signal, 0], 0.0, 1.0)
+    postselect = np.clip(sums[signal, 0], 0.0, 1.0)
     return [
         WeakReadout(k=int(k), estimate=complex(estimate), postselect_prob=float(prob))
-        for k, estimate, prob in zip(np.flatnonzero(signal) + 1, estimates, probabilities)
+        for k, estimate, prob in zip(np.flatnonzero(signal) + 1, estimates, postselect)
     ]

@@ -91,6 +91,9 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
                                  "delta/m bound undefined")
     m = dmin * dmin
     bound = delta / m
+    if not bound < np.inf:
+        raise ValueError(f"delta {delta!r} is too large: the bound delta/m "
+                         f"with m = {m!r} is not finite")
 
     joint = np.kron(rho.matrix, rho.matrix)
     probabilities = joint.diagonal().real

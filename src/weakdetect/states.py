@@ -262,14 +262,6 @@ def state_from_json_dict(doc) -> TwoQubitState:
     return validate(m)
 
 
-def amplitudes_to_json_dict(psi: PureAmplitudes) -> dict:
-    return {
-        "amplitudes": [
-            [float(c.real), float(c.imag)] for c in (psi.a, psi.b, psi.c, psi.d)
-        ]
-    }
-
-
 def amplitudes_from_json_dict(doc) -> PureAmplitudes:
     if not isinstance(doc, dict) or "amplitudes" not in doc:
         raise SchemaError('amplitude file must be an object with an "amplitudes" key')

@@ -89,6 +89,37 @@ def record(rho):
     return tuple(a[0] for a in weak_values_batch(rho.matrix[None]))
 
 
+def amplitudes_to_json_dict(psi):
+    """The amplitude-file document of a PureAmplitudes, as ``detect-pure``
+    reads it."""
+    return {
+        "amplitudes": [
+            [float(c.real), float(c.imag)] for c in (psi.a, psi.b, psi.c, psi.d)
+        ]
+    }
+
+
+def format_circuit(spec):
+    """Plain-text gate list of a CircuitSpec: label, controls, targets."""
+    lines = [f"circuit (epsilon = {spec.epsilon!r})"]
+    for i, gate in enumerate(spec.gates, start=1):
+        controls = (
+            ", ".join(f"q{c}={v}" for c, v in gate.controls) if gate.controls else "-"
+        )
+        targets = ", ".join(f"q{t}" for t in gate.targets)
+        lines.append(f"{i}. {gate.label:10s} controls: {controls:24s} targets: {targets}")
+    return "\n".join(lines)
+
+
+def entries(rho):
+    """``protocol.joint_entries`` on one state: (J[PERM[j], j], J[j, j]) of
+    J = rho x rho, outcome k at index k - 1, the record the pointer layer
+    reads."""
+    from weakdetect.protocol import joint_entries
+
+    return tuple(a[0] for a in joint_entries(rho.matrix[None]))
+
+
 def round_trip(rho):
     """The ``tomo`` pipeline on one state: its post-selection record,
     rebuilt by ``reconstruct_batch``, as a TwoQubitState."""

@@ -42,7 +42,7 @@ from weakdetect.states import (
     werner,
 )
 
-from conftest import det_ptb, exact_weak_value, negativity, round_trip
+from conftest import det_ptb, entries, exact_weak_value, negativity, round_trip
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -159,8 +159,10 @@ def test_criterion_06_pointer_convergence():
         exact, _, defined, _ = weak_values_batch(rho.matrix[None])
         assert defined.all()
 
+        flipped, probabilities = entries(rho)
+
         def sweep_error(cfg):
-            readouts = estimate_weak_values(rho, cfg)
+            readouts = estimate_weak_values(flipped, probabilities, cfg)
             return max(abs(r.estimate - exact[0, r.k - 1]) for r in readouts)
 
         err_full = sweep_error(cfg_full)
@@ -172,7 +174,7 @@ def test_criterion_06_pointer_convergence():
         assert 1.7 <= ratio <= 4.3
         # probability exactness at zero coupling
         joint = np.kron(rho.matrix, rho.matrix)
-        probabilities = moment_table(rho, overlaps_zero)[:, 0]
+        probabilities = moment_table(flipped, probabilities, overlaps_zero)[:, 0]
         assert (np.abs(probabilities - np.diag(joint).real) <= 1e-12).all()
     _report(6, f"pointer estimates within 5 epsilon of exact on 50 states "
                f"(worst {worst_err:.2e}); halving ratios in "

@@ -1,7 +1,7 @@
 """The package's public names."""
 
 import weakdetect
-from weakdetect import protocol, states
+from weakdetect import circuit, pointer, protocol, states
 
 PUBLIC = {
     "PureAmplitudes", "TwoQubitState", "Verdict", "bell_phi_plus", "det_ptb_expansion",
@@ -9,12 +9,16 @@ PUBLIC = {
     "DetectionReport", "detect", "detect_pure_local", "__version__",
 }
 
-# One-state twins of the batch functions, and functions only the tests
-# called; the references among them live in conftest.
+# One-state twins of the batch functions, functions only the tests called,
+# and the pointer layer's wrappers; the references and test helpers among
+# them live in conftest.
 REMOVED = {
     protocol: ("WeakValueSet", "weak_values_all", "diagonals_from_postselection", "reconstruct",
                "build_hamiltonian", "build_local_hamiltonian", "exact_weak_value"),
-    states: ("det_ptb", "partial_transpose_b", "negativity", "entanglement_estimate"),
+    states: ("det_ptb", "partial_transpose_b", "negativity", "entanglement_estimate",
+             "amplitudes_to_json_dict"),
+    circuit: ("format_circuit",),
+    pointer: ("PointerWave", "default_grid", "_overlap_table", "joint_entries"),
 }
 
 

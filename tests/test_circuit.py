@@ -11,7 +11,6 @@ from weakdetect.circuit import (
     assemble_unitary,
     build_detection_circuit,
     embed_gate,
-    format_circuit,
     unitary_vs_hamiltonian,
     verify_equivalence,
     weak_interaction_unitary,
@@ -19,7 +18,7 @@ from weakdetect.circuit import (
 )
 from weakdetect.protocol import HAMILTONIAN
 
-from conftest import SIGMA_X, expm_hermitian
+from conftest import SIGMA_X, expm_hermitian, format_circuit
 
 EPSILONS = (1e-3, 0.1, 1.0)
 # Closed forms are exact for every coupling, not just weak ones.

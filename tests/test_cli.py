@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import weakdetect.cli as cli
+from weakdetect import pointer, protocol
 from weakdetect.cli import main
 from weakdetect.protocol import TAU_DIAG
 from weakdetect.states import bell_phi_plus, ppt_oracle, state_to_json_dict, validate, werner
@@ -52,6 +53,15 @@ BAD_NUMERIC_ARGVS = [
     ["pointer-sim", "--grid-n", "100"],
     ["pointer-sim", "--grid-n", str(2**40)],  # a power of two too large to allocate
     ["pointer-sim", "--grid-l", "inf"],
+    # values the pointer grid cannot represent
+    ["pointer-sim", "--grid-l", "1e200"],
+    ["pointer-sim", "--sigma", "1e150", "--grid-l", "1e160"],
+    ["pointer-sim", "--sigma", "1e200", "--grid-l", "1e201"],
+    ["pointer-sim", "--sigma", "1e-300"],
+    ["pointer-sim", "--sigma", "1e-160", "--grid-l", "1e-159"],
+    ["pointer-sim", "--sigma", "1e-30", "--grid-l", "1"],
+    ["pointer-sim", "--sigma", "1e103", "--grid-l", "1e104"],
+    ["robustness", "--delta", "1e308"],  # delta/m overflows on the Werner state
     ["circuit-verify", "--epsilon", "nan"],
     ["detect", "--tol-det", "nan"],
     ["benchmark", "--tol-det", "nan"],
@@ -198,6 +208,21 @@ class TestPointerSim:
         assert doc["max_abs_error"] <= 5 * doc["epsilon"]
         assert "16" in doc["outcomes"]
         assert doc["outcomes"]["16"]["exact"][0] == pytest.approx(2 / 3)
+
+    def test_gathers_the_record_once(self, capsys, monkeypatch, werner_file):
+        calls = []
+        gather = protocol.joint_entries
+
+        def counted(*args, **kwargs):
+            calls.append(1)
+            return gather(*args, **kwargs)
+
+        monkeypatch.setattr(protocol, "joint_entries", counted)
+        monkeypatch.setattr(pointer, "joint_entries", counted, raising=False)
+        code, _ = run_main(capsys, ["pointer-sim", "--input", werner_file,
+                                    "--grid-n", "1024", "--grid-l", "20.0"])
+        assert code == 0
+        assert len(calls) == 1
 
 
 class TestCircuitVerify:

@@ -5,10 +5,8 @@ from hypothesis import given, settings, strategies as st
 from weakdetect import pointer
 from weakdetect.pointer import (
     PointerGrid,
-    PointerWave,
     SimConfig,
     default_config,
-    default_grid,
     estimate_weak_values,
     gaussian_pointer,
     moment_table,
@@ -19,13 +17,13 @@ from weakdetect.pointer import (
 from weakdetect.protocol import HAMILTONIAN, TAU_DEN
 from weakdetect.states import bell_phi_plus, random_mixed, random_pure, validate, werner
 
-from conftest import record
+from conftest import entries, record
 
 seeds = st.integers(0, 10**6)
 
 
 def table(rho, cfg):
-    return moment_table(rho, pointer_overlaps(cfg)[0])
+    return moment_table(*entries(rho), pointer_overlaps(cfg)[0])
 
 
 def _ensemble(joint, cutoff=1e-14):
@@ -42,9 +40,9 @@ def ensemble_moment_table(rho, cfg):
     h = HAMILTONIAN
     branches = _ensemble(np.kron(rho.matrix, rho.matrix))
     phi_in = gaussian_pointer(cfg.sigma, cfg.grid)
-    phi_plus = translate(phi_in, +cfg.epsilon).amplitudes
-    phi_minus = translate(phi_in, -cfg.epsilon).amplitudes
     grid = cfg.grid
+    phi_plus = translate(phi_in, grid, +cfg.epsilon)
+    phi_minus = translate(phi_in, grid, -cfg.epsilon)
     x, p = grid.positions, grid.momenta
     dp = 2.0 * np.pi / (grid.n * grid.dx)
     momentum_weight = grid.dx**2 / (2.0 * np.pi) * dp
@@ -85,10 +83,10 @@ def input_moments(sigma):
     return x, x2 - x**2, p, p2 - p**2
 
 
-def position_moments(wave):
-    density = np.abs(wave.amplitudes) ** 2 * wave.grid.dx
-    mean = np.sum(wave.grid.positions * density)
-    return mean, np.sum((wave.grid.positions - mean) ** 2 * density)
+def position_moments(wave, grid):
+    density = np.abs(wave) ** 2 * grid.dx
+    mean = np.sum(grid.positions * density)
+    return mean, np.sum((grid.positions - mean) ** 2 * density)
 
 
 class TestGaussianPointer:
@@ -108,37 +106,38 @@ class TestGaussianPointer:
         assert v2 == pytest.approx(v1 / 4, rel=1e-6)
 
     def test_grid_too_small(self):
-        with pytest.raises(ValueError):
-            gaussian_pointer(5.0, PointerGrid(n=512, half_extent=16.0))
+        with pytest.raises(ValueError, match="10 sigma"):
+            SimConfig(epsilon=1e-3, sigma=5.0, grid=PointerGrid(n=512, half_extent=16.0))
 
 
 class TestTranslate:
     @given(st.floats(-2.0, 2.0))
     @settings(max_examples=10)
     def test_shifts_mean_exactly(self, delta):
-        wave = gaussian_pointer(1.0, default_grid())
-        shifted = translate(wave, delta)
-        assert position_moments(shifted)[0] - position_moments(wave)[0] == pytest.approx(
-            delta, abs=1e-10
+        grid = default_config().grid
+        wave = gaussian_pointer(1.0, grid)
+        shifted = translate(wave, grid, delta)
+        assert position_moments(shifted, grid)[0] - position_moments(wave, grid)[0] == (
+            pytest.approx(delta, abs=1e-10)
         )
 
     def test_preserves_norm_and_shape(self):
-        wave = gaussian_pointer(1.0, default_grid())
-        shifted = translate(wave, 0.7)
-        assert position_moments(shifted)[1] == pytest.approx(1.0, abs=1e-8)
+        grid = default_config().grid
+        shifted = translate(gaussian_pointer(1.0, grid), grid, 0.7)
+        assert position_moments(shifted, grid)[1] == pytest.approx(1.0, abs=1e-8)
 
 
 class TestSimConfig:
     def test_rejects_strong_coupling(self):
         with pytest.raises(ValueError):
-            SimConfig(epsilon=0.2, sigma=1.0, grid=default_grid())
+            SimConfig(epsilon=0.2, sigma=1.0, grid=default_config().grid)
 
     def test_rejects_negative_epsilon(self):
         with pytest.raises(ValueError):
-            SimConfig(epsilon=-1e-3, sigma=1.0, grid=default_grid())
+            SimConfig(epsilon=-1e-3, sigma=1.0, grid=default_config().grid)
 
     def test_zero_epsilon_allowed(self):
-        SimConfig(epsilon=0.0, sigma=1.0, grid=default_grid())
+        SimConfig(epsilon=0.0, sigma=1.0, grid=default_config().grid)
 
 
 class TestEvolveAndPostselect:
@@ -169,7 +168,7 @@ class TestEvolveAndPostselect:
     def test_no_signal(self):
         cfg = default_config(1e-3)
         assert table(bell_phi_plus(), cfg)[5, 0] < TAU_DEN
-        assert 6 not in {r.k for r in estimate_weak_values(bell_phi_plus(), cfg)}
+        assert 6 not in {r.k for r in estimate_weak_values(*entries(bell_phi_plus()), cfg)}
 
     def test_total_probability_unity(self):
         rho = random_mixed(23)
@@ -192,7 +191,7 @@ class TestReadout:
     def test_bell_real_weak_value(self):
         cfg = default_config(1e-3)
         overlaps, reference = pointer_overlaps(cfg)
-        row = moment_table(bell_phi_plus(), overlaps)[15]
+        row = moment_table(*entries(bell_phi_plus()), overlaps)[15]
         estimate = readout_weak_value(row, reference, cfg.epsilon, cfg.sigma)
         assert estimate.real == pytest.approx(1.0, abs=1e-6)
         # real weak value: momentum shift vanishes to O(eps^2)
@@ -204,7 +203,7 @@ class TestReadout:
         rho = validate(np.outer(psi, psi.conj()))
         cfg = default_config(1e-3)
         overlaps, reference = pointer_overlaps(cfg)
-        row = moment_table(rho, overlaps)[15]
+        row = moment_table(*entries(rho), overlaps)[15]
         var_p = 1.0 / (4 * cfg.sigma**2)
         assert row[3] / row[0] == pytest.approx(-2 * cfg.epsilon * var_p, rel=1e-4)
         estimate = readout_weak_value(row, reference, cfg.epsilon, cfg.sigma)
@@ -214,25 +213,25 @@ class TestReadout:
     def test_requires_positive_epsilon(self):
         cfg = default_config(1e-3)
         overlaps, reference = pointer_overlaps(cfg)
-        row = moment_table(bell_phi_plus(), overlaps)[15]
+        row = moment_table(*entries(bell_phi_plus()), overlaps)[15]
         with pytest.raises(ValueError):
             readout_weak_value(row, reference, 0.0, cfg.sigma)
 
 
 class TestEstimateWeakValues:
     def test_werner_k16(self):
-        readouts = estimate_weak_values(werner(0.5), default_config(1e-3))
+        readouts = estimate_weak_values(*entries(werner(0.5)), default_config(1e-3))
         by_k = {r.k: r for r in readouts}
         assert abs(by_k[16].estimate - 2 / 3) <= 5e-3
         assert by_k[16].postselect_prob == pytest.approx((3 / 8) ** 2, abs=1e-6)
 
     def test_maximally_mixed_estimates_vanish(self, maximally_mixed):
-        readouts = estimate_weak_values(maximally_mixed, default_config(1e-3))
+        readouts = estimate_weak_values(*entries(maximally_mixed), default_config(1e-3))
         assert len(readouts) == 16
         assert max(abs(r.estimate) for r in readouts) <= 1e-6
 
     def test_undefined_outcomes_skipped(self):
-        readouts = estimate_weak_values(bell_phi_plus(), default_config(1e-3))
+        readouts = estimate_weak_values(*entries(bell_phi_plus()), default_config(1e-3))
         assert {r.k for r in readouts} == {1, 4, 13, 16}
 
     @given(seeds)
@@ -241,7 +240,7 @@ class TestEstimateWeakValues:
         rho = random_mixed(seed)
         exact, _, defined, _ = record(rho)
         eps = 1e-3
-        readouts = estimate_weak_values(rho, default_config(eps))
+        readouts = estimate_weak_values(*entries(rho), default_config(eps))
         for readout in readouts:
             assert defined[readout.k - 1]
             assert abs(readout.estimate - exact[readout.k - 1]) <= 5 * eps
@@ -252,7 +251,7 @@ class TestEstimateWeakValues:
         assert defined.all()
 
         def max_err(eps):
-            readouts = estimate_weak_values(rho, default_config(eps))
+            readouts = estimate_weak_values(*entries(rho), default_config(eps))
             return max(abs(r.estimate - exact[r.k - 1]) for r in readouts)
 
         ratio = max_err(1e-3) / max_err(5e-4)
@@ -267,10 +266,10 @@ class TestOverlapCache:
     """pointer_overlaps memoises its table per SimConfig."""
 
     def setup_method(self):
-        pointer._overlap_table.cache_clear()
+        pointer.pointer_overlaps.cache_clear()
 
     def counts(self):
-        info = pointer._overlap_table.cache_info()
+        info = pointer.pointer_overlaps.cache_info()
         return info.hits, info.misses
 
     def test_equal_configs_hit_and_each_field_misses(self):
@@ -295,7 +294,7 @@ class TestOverlapCache:
                                      default_config(1e-3, 1.0)],
                              ids=["small", "narrow-strong", "default"])
     def test_cached_equals_uncached_bit_for_bit(self, cfg):
-        uncached = pointer._overlap_table.__wrapped__(cfg)
+        uncached = pointer.pointer_overlaps.__wrapped__(cfg)
         for _ in range(2):  # a miss, then a hit
             cached = pointer_overlaps(cfg)
             for got, want in zip(cached, uncached):
@@ -303,26 +302,51 @@ class TestOverlapCache:
                 assert got.tobytes() == want.tobytes()
 
     def test_evicted_configs_rebuild_correctly(self):
-        maxsize = pointer._overlap_table.cache_parameters()["maxsize"]
+        maxsize = pointer.pointer_overlaps.cache_parameters()["maxsize"]
         assert maxsize >= 64
         configs = [small_config(epsilon=(i + 1) * 1e-4) for i in range(maxsize + 6)]
         for cfg in configs:
             pointer_overlaps(cfg)
-        assert pointer._overlap_table.cache_info().currsize == maxsize
+        assert pointer.pointer_overlaps.cache_info().currsize == maxsize
         for cfg in configs[:3]:  # the oldest, evicted
             rebuilt = pointer_overlaps(cfg)
-            for got, want in zip(rebuilt, pointer._overlap_table.__wrapped__(cfg)):
+            for got, want in zip(rebuilt, pointer.pointer_overlaps.__wrapped__(cfg)):
                 assert got.tobytes() == want.tobytes()
         assert self.counts() == (0, maxsize + 9)
 
     def test_cached_estimates_match_a_cold_build(self):
         rho, cfg = random_mixed(5), small_config()
-        cold = estimate_weak_values(rho, cfg)
-        assert estimate_weak_values(rho, cfg) == cold
+        cold = estimate_weak_values(*entries(rho), cfg)
+        assert estimate_weak_values(*entries(rho), cfg) == cold
         assert self.counts() == (1, 1)
 
 
-def test_pointer_wave_rejects_unnormalized():
-    grid = PointerGrid(n=256, half_extent=12.0)
-    with pytest.raises(ValueError):
-        PointerWave(grid, np.ones(256, dtype=complex))
+class TestRangeChecks:
+    """Configs the grid cannot represent are refused when built, before any
+    array is allocated."""
+
+    @pytest.mark.parametrize("n, half_extent", [
+        (4096, 1e200),   # L^2 overflows
+        (256, 1e104),    # L^2 is finite, L^2 dx overflows
+        (4096, 1e-159),  # dx^2 underflows to 0
+        (4096, 1e-152),  # dx^2 is non-zero, (pi/dx)^2 overflows
+    ])
+    def test_grid(self, n, half_extent):
+        with pytest.raises(ValueError, match="out of range"):
+            PointerGrid(n, half_extent)
+
+    @pytest.mark.parametrize("sigma, half_extent, match", [
+        (1e200, 40.0, "out of range"),   # sigma^2 overflows
+        (1e-300, 40.0, "out of range"),  # sigma^2 underflows to 0
+        (1e-30, 1.0, "too coarse"),      # narrower than the spacing dx = 4.9e-4
+        (7.7e-4, 1.0, "too coarse"),     # just below 5 dx / pi = 7.8e-4
+    ])
+    def test_sigma(self, sigma, half_extent, match):
+        grid = PointerGrid(4096, half_extent)
+        with pytest.raises(ValueError, match=match):
+            SimConfig(epsilon=1e-3, sigma=sigma, grid=grid)
+
+    def test_edges_pass(self):
+        grid = PointerGrid(4096, 1.0)
+        SimConfig(epsilon=1e-3, sigma=5 * grid.dx / np.pi, grid=grid)
+        SimConfig(epsilon=1e-3, sigma=0.1, grid=grid)

@@ -26,7 +26,13 @@ from weakdetect.states import (
     werner,
 )
 
-from conftest import det_ptb, entanglement_estimate, negativity, partial_transpose_b
+from conftest import (
+    amplitudes_to_json_dict,
+    det_ptb,
+    entanglement_estimate,
+    negativity,
+    partial_transpose_b,
+)
 
 seeds = st.integers(0, 10**6)
 
@@ -278,8 +284,6 @@ class TestJsonSchema:
 
     def test_amplitudes_round_trip(self):
         psi = random_pure(9)
-        from weakdetect.states import amplitudes_to_json_dict
-
         doc = json.loads(json.dumps(amplitudes_to_json_dict(psi)))
         back = amplitudes_from_json_dict(doc)
         assert back == psi
