@@ -9,7 +9,7 @@ import argparse
 import sys
 
 from weakdetect.pointer import default_config, estimate_weak_values
-from weakdetect.protocol import joint_entries
+from weakdetect.protocol import weak_values_batch
 from weakdetect.states import random_mixed
 
 
@@ -27,12 +27,14 @@ def main() -> None:
             if value < 0:
                 raise ValueError(f"{flag} must be non-negative, got {value}")
         rho = random_mixed(args.seed)
-        flipped, probabilities = (a[0] for a in joint_entries(rho.matrix[None]))
+        flipped, probabilities, exact, defined, _ = (
+            a[0] for a in weak_values_batch(rho.matrix[None]))
         epsilons = [args.epsilon / 2**i for i in range(args.steps)]
-        # every reported outcome is defined, so this is the exact weak value
-        errors = [max(abs(r.estimate - complex(flipped[r.k - 1] / probabilities[r.k - 1]))
-                      for r in estimate_weak_values(flipped, probabilities, default_config(eps)))
-                  for eps in epsilons]
+        errors = []
+        for eps in epsilons:
+            read, estimates, _ = estimate_weak_values(flipped, probabilities, defined,
+                                                      default_config(eps))
+            errors.append(max(abs(complex(e - x)) for e, x in zip(estimates[read], exact[read])))
     except ValueError as exc:
         sys.exit(f"{parser.prog}: error: {exc}")
 

@@ -45,12 +45,6 @@ class Gate:
     controls: tuple[tuple[int, int], ...] = ()
 
 
-@dataclass(frozen=True, eq=False)
-class CircuitSpec:
-    gates: tuple[Gate, ...]
-    epsilon: float
-
-
 def _exp_involution(a: np.ndarray, epsilon: float) -> np.ndarray:
     """exp(-i epsilon A) = cos(eps) 1 - i sin(eps) A for A with A @ A = 1."""
     return np.cos(epsilon) * np.eye(len(a)) - 1j * np.sin(epsilon) * a
@@ -71,7 +65,7 @@ def weak_interaction_unitary(epsilon: float) -> np.ndarray:
             + np.kron(np.diag([0.0, 0.0, 0.0, 1.0]), rxx))
 
 
-def build_detection_circuit(epsilon: float) -> CircuitSpec:
+def build_detection_circuit(epsilon: float) -> tuple[Gate, ...]:
     """Gate list implementing the conditional unitary.
 
     * Rx(-eps) on qubit 3, anti-controlled on qubit 0 = 0 (covers the |00>
@@ -84,7 +78,7 @@ def build_detection_circuit(epsilon: float) -> CircuitSpec:
     """
     rx_minus = x_rotation(epsilon)
     rx_plus = x_rotation(-epsilon)
-    gates = (
+    return (
         Gate("RX(-eps)", (3,), rx_minus, controls=((0, 0),)),
         Gate("RX(-eps)", (2,), rx_minus, controls=((0, 1), (1, 0))),
         Gate("H_D", (2,), HADAMARD),
@@ -92,7 +86,6 @@ def build_detection_circuit(epsilon: float) -> CircuitSpec:
         Gate("RX(+eps)", (3,), rx_plus, controls=((0, 1), (1, 1), (2, 1))),
         Gate("H_D", (2,), HADAMARD),
     )
-    return CircuitSpec(gates=gates, epsilon=epsilon)
 
 
 def embed_gate(gate: Gate) -> np.ndarray:
@@ -127,10 +120,10 @@ def embed_gate(gate: Gate) -> np.ndarray:
     return np.where(fires[:, None], g, np.eye(DIM))
 
 
-def assemble_unitary(spec: CircuitSpec) -> np.ndarray:
+def assemble_unitary(gates: tuple[Gate, ...]) -> np.ndarray:
     """Product of the gate embeddings in application order."""
     total = np.eye(DIM, dtype=complex)
-    for gate in spec.gates:
+    for gate in gates:
         total = embed_gate(gate) @ total
     return total
 

@@ -10,6 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -143,7 +144,7 @@ def cmd_detect_pure(cfg: argparse.Namespace):
 
 def cmd_tomo(cfg: argparse.Namespace):
     rho = _load_state(cfg)
-    values, _, defined, diagonal = protocol.weak_values_batch(rho.matrix[None])
+    _, _, values, defined, diagonal = protocol.weak_values_batch(rho.matrix[None])
     rebuilt = states.TwoQubitState(protocol.reconstruct_batch(values, defined, diagonal)[0])
     doc = {
         "command": "tomo",
@@ -156,33 +157,33 @@ def cmd_tomo(cfg: argparse.Namespace):
 
 def cmd_pointer_sim(cfg: argparse.Namespace):
     rho = _load_state(cfg)
-    flipped, probabilities = (a[0] for a in protocol.joint_entries(rho.matrix[None]))
+    flipped, probabilities, exact, defined, _ = (
+        a[0] for a in protocol.weak_values_batch(rho.matrix[None]))
     try:
-        full = pointer.estimate_weak_values(flipped, probabilities, _sim_config(cfg))
-        half = pointer.estimate_weak_values(flipped, probabilities,
-                                            _sim_config(cfg, epsilon=cfg.epsilon / 2))
+        read, estimates, postselect = pointer.estimate_weak_values(
+            flipped, probabilities, defined, _sim_config(cfg))
+        read_half, estimates_half, _ = pointer.estimate_weak_values(
+            flipped, probabilities, defined, _sim_config(cfg, epsilon=cfg.epsilon / 2))
     except ValueError as exc:  # the pointer module's own range checks on the flags
         raise _UsageError(str(exc)) from exc
-    half_by_k = {ro.k: ro for ro in half}
     outcomes = {}
     errors, errors_half = [], []
-    # estimate_weak_values keeps only outcomes whose weak value is defined,
-    # so this is the division weak_values_batch performs.
-    for readout in full:
-        exact_value = complex(flipped[readout.k - 1] / probabilities[readout.k - 1])
-        err = abs(readout.estimate - exact_value)
+    for j in np.flatnonzero(read):
+        exact_value = complex(exact[j])
+        estimate = complex(estimates[j])
+        err = abs(estimate - exact_value)
         errors.append(err)
         entry = {
-            "estimate": _pair(readout.estimate),
+            "estimate": _pair(estimate),
             "exact": _pair(exact_value),
             "abs_error": float(err),
-            "postselect_prob": float(readout.postselect_prob),
+            "postselect_prob": float(postselect[j]),
         }
-        if readout.k in half_by_k:
-            err_half = abs(half_by_k[readout.k].estimate - exact_value)
+        if read_half[j]:
+            err_half = abs(complex(estimates_half[j]) - exact_value)
             errors_half.append(err_half)
             entry["abs_error_half"] = float(err_half)
-        outcomes[str(readout.k)] = entry
+        outcomes[str(j + 1)] = entry
     max_err = max(errors, default=0.0)
     max_err_half = max(errors_half, default=0.0)
     ratio = float(max_err / max_err_half) if max_err_half > 0 else None
@@ -340,4 +341,12 @@ def main(argv: list[str] | None = None) -> int:
 
 
 def main_entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout. Point it at devnull so the interpreter's
+        # flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_IO
+    sys.exit(code)

@@ -20,14 +20,14 @@ therefore the 2x2 mixture
     P |phi_s><phi_s| + N* |phi_s><phi_d| + N |phi_d><phi_s| + Q |phi_d><phi_d|,
 
 with P = J[j, j], N = J[pi(j), j] and Q = J[pi(j), pi(j)]. These come
-from the caller's one gather, protocol.joint_entries, passed in as
-(flipped, probabilities); the layer never reads rho itself. Each moment
-sum is the contraction of these four coefficients with the overlaps
-<phi_b|O|phi_a> for O = 1, x, x^2, p, p^2, a table built once per (grid,
-sigma, epsilon) and process. The translation is spectral
-(multiplication by exp(-i epsilon p) in the Fourier domain, exact for waves
-with negligible boundary tails) and momentum moments are sums over the FFT
-grid.
+from the caller's post-selection record, protocol.weak_values_batch, passed
+in as (flipped, probabilities) with the record's defined mask; the layer
+never reads rho itself. Each moment sum is the contraction of these four
+coefficients with the overlaps <phi_b|O|phi_a> for O = 1, x, x^2, p, p^2,
+a table built once per (grid, sigma, epsilon) and process. The translation
+is spectral (multiplication by exp(-i epsilon p) in the Fourier domain,
+exact for waves with negligible boundary tails) and momentum moments are
+sums over the FFT grid.
 hbar = 1 throughout.
 """
 
@@ -122,13 +122,6 @@ class SimConfig:
             )
 
 
-@dataclass(frozen=True)
-class WeakReadout:
-    k: int
-    estimate: complex
-    postselect_prob: float
-
-
 def default_config(epsilon: float = 1e-3, sigma: float = 1.0) -> SimConfig:
     return SimConfig(epsilon=epsilon, sigma=sigma, grid=PointerGrid(n=4096, half_extent=40.0))
 
@@ -187,8 +180,8 @@ def moment_table(flipped: np.ndarray, probabilities: np.ndarray,
     k in row k - 1. The columns are the post-selection probability,
     sum x, sum x^2, sum p and sum p^2.
 
-    ``flipped`` and ``probabilities`` are one state's row of
-    :func:`protocol.joint_entries`, J[PERM[j], j] and J[j, j]. ``overlaps``
+    ``flipped`` and ``probabilities`` are one state's row of the record of
+    :func:`protocol.weak_values_batch`, J[PERM[j], j] and J[j, j]. ``overlaps``
     is the first table of :func:`pointer_overlaps`. Every row, silent
     outcomes included, contracts it with the 2x2 coefficients of the module
     docstring.
@@ -198,40 +191,29 @@ def moment_table(flipped: np.ndarray, probabilities: np.ndarray,
     return np.einsum("abk,abm->km", coefficients, overlaps).real
 
 
-def readout_weak_value(
-    sums: np.ndarray,
-    reference: np.ndarray,
-    epsilon: float,
-    sigma: float,
-) -> np.ndarray:
-    """Complex weak values from rows (..., 5) of the moment table: the mean
-    position and momentum shifts of the post-selected pointer from the input
-    pointer's moments ``reference`` (see :func:`pointer_overlaps`)."""
-    if not epsilon > 0:
-        raise ValueError("readout needs epsilon > 0")
-    var_p_in = 1.0 / (4.0 * sigma**2)
-    real = (sums[..., 1] / sums[..., 0] - reference[1]) / epsilon
-    imag = (sums[..., 3] / sums[..., 0] - reference[3]) / (2.0 * epsilon * var_p_in)
-    return real + 1j * imag
+def estimate_weak_values(flipped: np.ndarray, probabilities: np.ndarray, defined: np.ndarray,
+                         cfg: SimConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Pointer-simulated weak values of one state, from its row of the record
+    of :func:`protocol.weak_values_batch`: (16,) arrays of the outcomes read
+    out, their estimates (0 elsewhere) and the post-selection probabilities,
+    outcome k at index k - 1.
 
-
-def estimate_weak_values(flipped: np.ndarray, probabilities: np.ndarray,
-                         cfg: SimConfig) -> list[WeakReadout]:
-    """Pointer-simulated weak values for every outcome that carries signal,
-    from one state's row of :func:`protocol.joint_entries`.
-
-    Outcomes are screened on the pre-interaction probability
-    <u_k| rho x rho |u_k> (the "no signal before coupling" check), since
-    silent outcomes pick up O(epsilon^2) probability from the exact
-    evolution without carrying a weak value. An outcome whose
-    post-selection probability is below TAU_DEN is left out as well.
+    An outcome is read out when the record defines its weak value (silent
+    outcomes pick up O(epsilon^2) probability from the exact evolution
+    without carrying one) and its post-interaction probability is at least
+    TAU_DEN. Each estimate is the mean position and momentum shift of the
+    post-selected pointer from the input pointer's moments (see
+    :func:`pointer_overlaps`).
     """
+    if not cfg.epsilon > 0:
+        raise ValueError("readout needs epsilon > 0")
     overlaps, reference = pointer_overlaps(cfg)
     sums = moment_table(flipped, probabilities, overlaps)
-    signal = (probabilities > TAU_DEN) & (sums[:, 0] >= TAU_DEN)
-    estimates = readout_weak_value(sums[signal], reference, cfg.epsilon, cfg.sigma)
-    postselect = np.clip(sums[signal, 0], 0.0, 1.0)
-    return [
-        WeakReadout(k=int(k), estimate=complex(estimate), postselect_prob=float(prob))
-        for k, estimate, prob in zip(np.flatnonzero(signal) + 1, estimates, postselect)
-    ]
+    read = defined & (sums[:, 0] >= TAU_DEN)
+    rows = sums[read]
+    var_p_in = 1.0 / (4.0 * cfg.sigma**2)
+    real = (rows[:, 1] / rows[:, 0] - reference[1]) / cfg.epsilon
+    imag = (rows[:, 3] / rows[:, 0] - reference[3]) / (2.0 * cfg.epsilon * var_p_in)
+    estimates = np.zeros(16, dtype=complex)
+    estimates[read] = real + 1j * imag
+    return read, estimates, np.clip(sums[:, 0], 0.0, 1.0)

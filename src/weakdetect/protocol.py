@@ -21,7 +21,9 @@ The Hamiltonian is a permutation matrix, so the weak value at outcome
 k = 4a + b + 1 is a gather, rho[a', a] rho[b', b] / (rho[a, a] rho[b, b])
 with 4a' + b' = PERM[k - 1]. :func:`weak_values_batch` gathers the whole
 post-selection record of an (N, 4, 4) stack that way, never forming
-rho x rho; detection and reconstruction both read that one record.
+rho x rho. It alone screens outcomes and divides; detection, reconstruction,
+the pure-state variant (under its own permutation), the pointer readout and
+the robustness check all read that one record.
 """
 
 from __future__ import annotations
@@ -51,8 +53,8 @@ TAU_DIAG = 1e-10
 # values and on the amplitude discriminant (matched to the TAU_DET scale).
 TAU_WV = 1e-9
 
-# Post-selection probability below TAU_DEN means the weak value for that
-# outcome is undefined.
+# Post-selection probability at or below TAU_DEN means the weak value for
+# that outcome is undefined.
 TAU_DEN = 1e-12
 
 # Smallest eigenvalue a rebuilt state may have: reconstruction works from
@@ -205,36 +207,29 @@ def _elements(values: np.ndarray, defined: np.ndarray, diagonal: np.ndarray,
     )
 
 
-def joint_entries(stack: np.ndarray, perm: np.ndarray = PERM) -> tuple[np.ndarray, np.ndarray]:
-    """(J[perm[j], j], J[j, j]) of the two-copy matrix J = rho x rho for every
-    state of an (N, 4, 4) stack, each (N, 16), outcome k in column k - 1.
+def weak_values_batch(
+    stack: np.ndarray, perm: np.ndarray = PERM,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """The post-selection record of an (N, 4, 4) stack under the interaction
+    that maps outcome index j to perm[j]: (J[perm[j], j], J[j, j], weak
+    values, defined mask), each (N, 16) with outcome k in column k - 1, and
+    the (N, 4) diagonals (p, q, r, s).
 
-    With j = 4a + b and perm[j] = 4a' + b' these are the gathers
-    rho[a', a] rho[b', b] and rho[a, a] rho[b, b]; J is never formed. The
-    second is the post-selection probability (real).
+    J = rho x rho is never formed: with j = 4a + b and perm[j] = 4a' + b'
+    the entries are the gathers rho[a', a] rho[b', b] and rho[a, a] rho[b, b].
+    The second is the post-selection probability, real and unclipped.
+    Outcomes at or below TAU_DEN are undefined, with weak value 0; the rest
+    have weak value J[perm[j], j] / J[j, j]. Outcomes 1, 6, 11, 16
+    post-select both copies on the same basis state, so their probabilities
+    are p^2, q^2, r^2, s^2 and give the diagonals.
     """
     flat = stack.reshape(-1, 16)
     diagonal = flat[:, ::5].real
     flipped = flat[:, 4 * (perm // 4) + _A] * flat[:, 4 * (perm % 4) + _B]
-    return flipped, diagonal[:, _A] * diagonal[:, _B]
-
-
-def weak_values_batch(
-    stack: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """The post-selection record of an (N, 4, 4) stack: (weak values,
-    post-selection probabilities, defined mask), each (N, 16) with outcome k
-    in column k - 1, and the (N, 4) diagonals (p, q, r, s).
-
-    Outcomes at or below TAU_DEN are undefined, with weak value 0. Outcomes
-    1, 6, 11, 16 post-select both copies on the same basis state, so their
-    probabilities are p^2, q^2, r^2, s^2 and give the diagonals.
-    """
-    numerators, probabilities = joint_entries(stack)
+    probabilities = diagonal[:, _A] * diagonal[:, _B]
     defined = probabilities > TAU_DEN
-    values = np.where(defined, numerators / np.where(defined, probabilities, 1.0), 0.0)
-    probabilities = np.maximum(probabilities, 0.0)
-    return values, probabilities, defined, np.sqrt(probabilities[:, _SQUARE_OUTCOMES])
+    values = np.where(defined, flipped / np.where(defined, probabilities, 1.0), 0.0)
+    return flipped, probabilities, values, defined, np.sqrt(probabilities[:, _SQUARE_OUTCOMES])
 
 
 # det(rho^TB) as 24 signed products of four factors each: the diagonals
@@ -281,7 +276,7 @@ def detect_batch(stack: np.ndarray, *, tau_det: float = TAU_DET) -> BatchReport:
     labels the diagonals, CaseI when p or s is at or below TAU_DIAG, else
     CaseII when q or r is, else General, where det_scaled is det/pqrs.
     """
-    values, _, defined, diagonal = weak_values_batch(stack)
+    _, _, values, defined, diagonal = weak_values_batch(stack)
     elements = _elements(values, defined, diagonal, stack[:, _UPPER[0], _UPPER[1]])
     det_value = _det_terms(diagonal, elements).sum(axis=1).real
     small = diagonal <= TAU_DIAG
@@ -367,10 +362,9 @@ def detect_pure_local(psi: PureAmplitudes) -> DetectionReport:
     weak_values: dict[int, complex] = {}
     entangled = abs(discriminant) > TAU_WV
     if min(diag) >= TAU_DIAG:
-        numerators, probabilities = joint_entries(psi.to_state().matrix[None], _LOCAL_PERM)
-        numerators, probabilities = numerators[0, [1, 3]], probabilities[0, [1, 3]]
-        if (probabilities > TAU_DEN).all():
-            wv2, wv4 = (complex(v) for v in numerators / probabilities)
+        _, _, values, defined, _ = weak_values_batch(psi.to_state().matrix[None], _LOCAL_PERM)
+        if defined[0, [1, 3]].all():
+            wv2, wv4 = (complex(v) for v in values[0, [1, 3]])
             weak_values = {2: wv2, 4: wv4}
             entangled = abs(wv2 - wv4) > TAU_WV
     return DetectionReport(

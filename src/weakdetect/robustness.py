@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import TAU_DEN, TAU_DIAG
+from .protocol import TAU_DIAG, weak_values_batch
 from .states import TwoQubitState
 
 # Trials per stacked pass. Each trial holds about 24 kB of temporaries, so at
@@ -95,9 +95,8 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
         raise ValueError(f"delta {delta!r} is too large: the bound delta/m "
                          f"with m = {m!r} is not finite")
 
+    _, probabilities, _, signal, _ = (a[0] for a in weak_values_batch(rho.matrix[None]))
     joint = np.kron(rho.matrix, rho.matrix)
-    probabilities = joint.diagonal().real
-    signal = probabilities > TAU_DEN
     outcomes = np.flatnonzero(signal) + 1
     columns = joint[:, signal] / probabilities[signal]
     worst = np.zeros(np.count_nonzero(signal))

@@ -81,12 +81,14 @@ def entanglement_estimate(rho):
     return max(0.0, -det_ptb(rho))
 
 
-def record(rho):
-    """``weak_values_batch`` on one state: its weak values, probabilities and
-    defined mask, outcome k at index k - 1, and its diagonals (p, q, r, s)."""
-    from weakdetect.protocol import weak_values_batch
+def record(rho, perm=None):
+    """``weak_values_batch`` on one state: (J[perm[j], j], J[j, j]) of
+    J = rho x rho, its weak values and defined mask, outcome k at index
+    k - 1, and its diagonals (p, q, r, s). ``perm`` defaults to PERM."""
+    from weakdetect.protocol import PERM, weak_values_batch
 
-    return tuple(a[0] for a in weak_values_batch(rho.matrix[None]))
+    return tuple(a[0] for a in weak_values_batch(rho.matrix[None],
+                                                 PERM if perm is None else perm))
 
 
 def amplitudes_to_json_dict(psi):
@@ -99,10 +101,11 @@ def amplitudes_to_json_dict(psi):
     }
 
 
-def format_circuit(spec):
-    """Plain-text gate list of a CircuitSpec: label, controls, targets."""
-    lines = [f"circuit (epsilon = {spec.epsilon!r})"]
-    for i, gate in enumerate(spec.gates, start=1):
+def format_circuit(gates, epsilon):
+    """Plain-text gate list of the circuit at coupling ``epsilon``: label,
+    controls, targets."""
+    lines = [f"circuit (epsilon = {epsilon!r})"]
+    for i, gate in enumerate(gates, start=1):
         controls = (
             ", ".join(f"q{c}={v}" for c, v in gate.controls) if gate.controls else "-"
         )
@@ -111,22 +114,13 @@ def format_circuit(spec):
     return "\n".join(lines)
 
 
-def entries(rho):
-    """``protocol.joint_entries`` on one state: (J[PERM[j], j], J[j, j]) of
-    J = rho x rho, outcome k at index k - 1, the record the pointer layer
-    reads."""
-    from weakdetect.protocol import joint_entries
-
-    return tuple(a[0] for a in joint_entries(rho.matrix[None]))
-
-
 def round_trip(rho):
     """The ``tomo`` pipeline on one state: its post-selection record,
     rebuilt by ``reconstruct_batch``, as a TwoQubitState."""
     from weakdetect.protocol import reconstruct_batch, weak_values_batch
     from weakdetect.states import TwoQubitState
 
-    values, _, defined, diagonal = weak_values_batch(rho.matrix[None])
+    _, _, values, defined, diagonal = weak_values_batch(rho.matrix[None])
     return TwoQubitState(reconstruct_batch(values, defined, diagonal)[0])
 
 

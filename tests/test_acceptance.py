@@ -42,7 +42,7 @@ from weakdetect.states import (
     werner,
 )
 
-from conftest import det_ptb, entries, exact_weak_value, negativity, round_trip
+from conftest import det_ptb, exact_weak_value, negativity, round_trip
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -99,7 +99,7 @@ def test_criterion_03_weak_value_identities():
     worst = 0.0
     for _ in range(200):
         rho = random_mixed(rng)
-        values, _, defined, _ = weak_values_batch(rho.matrix[None])
+        _, _, values, defined, _ = weak_values_batch(rho.matrix[None])
         assert defined.all()
         for k, oracle in RATIO_ORACLE.items():
             err = abs(values[0, k - 1] - oracle(rho.matrix))
@@ -156,14 +156,13 @@ def test_criterion_06_pointer_convergence():
     ratios = []
     for _ in range(50):
         rho = random_mixed(rng)
-        exact, _, defined, _ = weak_values_batch(rho.matrix[None])
+        flipped, probabilities, exact, defined, _ = (
+            a[0] for a in weak_values_batch(rho.matrix[None]))
         assert defined.all()
 
-        flipped, probabilities = entries(rho)
-
         def sweep_error(cfg):
-            readouts = estimate_weak_values(flipped, probabilities, cfg)
-            return max(abs(r.estimate - exact[0, r.k - 1]) for r in readouts)
+            read, estimates, _ = estimate_weak_values(flipped, probabilities, defined, cfg)
+            return np.abs(estimates - exact)[read].max()
 
         err_full = sweep_error(cfg_full)
         err_half = sweep_error(cfg_half)

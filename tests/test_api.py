@@ -10,15 +10,17 @@ PUBLIC = {
 }
 
 # One-state twins of the batch functions, functions only the tests called,
-# and the pointer layer's wrappers; the references and test helpers among
-# them live in conftest.
+# the pointer layer's wrappers and the second gather of the post-selection
+# record; the references and test helpers among them live in conftest.
 REMOVED = {
     protocol: ("WeakValueSet", "weak_values_all", "diagonals_from_postselection", "reconstruct",
-               "build_hamiltonian", "build_local_hamiltonian", "exact_weak_value"),
+               "build_hamiltonian", "build_local_hamiltonian", "exact_weak_value",
+               "joint_entries"),
     states: ("det_ptb", "partial_transpose_b", "negativity", "entanglement_estimate",
              "amplitudes_to_json_dict"),
-    circuit: ("format_circuit",),
-    pointer: ("PointerWave", "default_grid", "_overlap_table", "joint_entries"),
+    circuit: ("format_circuit", "CircuitSpec"),
+    pointer: ("PointerWave", "default_grid", "_overlap_table", "joint_entries", "WeakReadout",
+              "readout_weak_value"),
 }
 
 

@@ -6,7 +6,6 @@ from weakdetect.circuit import (
     DIM,
     HADAMARD,
     N_QUBITS,
-    CircuitSpec,
     Gate,
     assemble_unitary,
     build_detection_circuit,
@@ -108,16 +107,16 @@ class TestHadamard:
 
 class TestDetectionCircuit:
     def test_gate_list_structure(self):
-        spec = build_detection_circuit(0.1)
-        assert len(spec.gates) == 6
-        controls = [g.controls for g in spec.gates]
+        gates = build_detection_circuit(0.1)
+        assert len(gates) == 6
+        controls = [g.controls for g in gates]
         assert controls[0] == ((0, 0),)
         assert controls[1] == ((0, 1), (1, 0))
         assert controls[2] == ()
         assert controls[3] == ((0, 1), (1, 1), (2, 0))
         assert controls[4] == ((0, 1), (1, 1), (2, 1))
         assert controls[5] == ()
-        targets = [g.targets for g in spec.gates]
+        targets = [g.targets for g in gates]
         assert targets == [(3,), (2,), (2,), (3,), (3,), (2,)]
 
     def test_zero_coupling_assembles_to_identity(self):
@@ -184,11 +183,11 @@ class TestEmbedGate:
 
     @pytest.mark.parametrize("eps", CLOSED_FORM_EPSILONS)
     def test_detection_gates_match_per_column_reference(self, eps):
-        for gate in build_detection_circuit(eps).gates:
+        for gate in build_detection_circuit(eps):
             assert np.max(np.abs(embed_gate(gate) - reference_embed_gate(gate))) <= 1e-15
 
     def test_embedding_is_unitary(self):
-        for gate in build_detection_circuit(0.7).gates:
+        for gate in build_detection_circuit(0.7):
             u = embed_gate(gate)
             assert np.max(np.abs(u.conj().T @ u - np.eye(16))) <= 1e-12
 
@@ -221,14 +220,14 @@ def test_assemble_respects_order():
     # X then projector-conditioned phase differs from the reverse order
     x = Gate("X", (3,), np.array([[0, 1], [1, 0]], dtype=complex))
     cz = Gate("Z", (3,), np.diag([1.0, -1.0]).astype(complex), controls=((0, 1),))
-    forward = assemble_unitary(CircuitSpec((x, cz), 0.0))
-    backward = assemble_unitary(CircuitSpec((cz, x), 0.0))
+    forward = assemble_unitary((x, cz))
+    backward = assemble_unitary((cz, x))
     np.testing.assert_allclose(forward, embed_gate(cz) @ embed_gate(x), atol=1e-14)
     assert np.max(np.abs(forward - backward)) > 0.5
 
 
 def test_format_circuit_lists_gates():
-    text = format_circuit(build_detection_circuit(0.25))
+    text = format_circuit(build_detection_circuit(0.25), 0.25)
     lines = text.splitlines()
     assert len(lines) == 7
     assert "H_D" in text and "q0=1" in text and "targets: q3" in text

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import weakdetect.cli as cli
-from weakdetect import pointer, protocol
+from weakdetect import protocol
 from weakdetect.cli import main
 from weakdetect.protocol import TAU_DIAG
 from weakdetect.states import bell_phi_plus, ppt_oracle, state_to_json_dict, validate, werner
@@ -211,14 +211,13 @@ class TestPointerSim:
 
     def test_gathers_the_record_once(self, capsys, monkeypatch, werner_file):
         calls = []
-        gather = protocol.joint_entries
+        gather = protocol.weak_values_batch
 
         def counted(*args, **kwargs):
             calls.append(1)
             return gather(*args, **kwargs)
 
-        monkeypatch.setattr(protocol, "joint_entries", counted)
-        monkeypatch.setattr(pointer, "joint_entries", counted, raising=False)
+        monkeypatch.setattr(protocol, "weak_values_batch", counted)
         code, _ = run_main(capsys, ["pointer-sim", "--input", werner_file,
                                     "--grid-n", "1024", "--grid-l", "20.0"])
         assert code == 0
@@ -421,6 +420,19 @@ class TestExitCodes:
         matrix[0][0] = [float("nan"), 0.0]
         path.write_text(json.dumps({"matrix": matrix}))
         assert main(["detect", "--input", str(path)]) == 2
+
+    def test_closed_stdout_exits_1_quietly(self):
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        cmd = [sys.executable, "-m", "weakdetect", "benchmark", "--trials", "5000",
+               "--format", "csv"]
+        with subprocess.Popen(cmd, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                              env=env) as proc:
+            assert len(proc.stdout.read(10)) == 10
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=120)
+        assert code == cli.EXIT_IO
+        assert b"Traceback" not in err
 
 
 class TestDeterminism:

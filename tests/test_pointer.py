@@ -11,19 +11,25 @@ from weakdetect.pointer import (
     gaussian_pointer,
     moment_table,
     pointer_overlaps,
-    readout_weak_value,
     translate,
 )
 from weakdetect.protocol import HAMILTONIAN, TAU_DEN
 from weakdetect.states import bell_phi_plus, random_mixed, random_pure, validate, werner
 
-from conftest import entries, record
+from conftest import record
 
 seeds = st.integers(0, 10**6)
 
 
 def table(rho, cfg):
-    return moment_table(*entries(rho), pointer_overlaps(cfg)[0])
+    return moment_table(*record(rho)[:2], pointer_overlaps(cfg)[0])
+
+
+def readout(rho, cfg):
+    """estimate_weak_values on one state's record: (read, estimates,
+    post-selection probabilities)."""
+    flipped, probabilities, _, defined, _ = record(rho)
+    return estimate_weak_values(flipped, probabilities, defined, cfg)
 
 
 def _ensemble(joint, cutoff=1e-14):
@@ -168,7 +174,7 @@ class TestEvolveAndPostselect:
     def test_no_signal(self):
         cfg = default_config(1e-3)
         assert table(bell_phi_plus(), cfg)[5, 0] < TAU_DEN
-        assert 6 not in {r.k for r in estimate_weak_values(*entries(bell_phi_plus()), cfg)}
+        assert not readout(bell_phi_plus(), cfg)[0][5]
 
     def test_total_probability_unity(self):
         rho = random_mixed(23)
@@ -190,9 +196,9 @@ class TestEvolveAndPostselect:
 class TestReadout:
     def test_bell_real_weak_value(self):
         cfg = default_config(1e-3)
-        overlaps, reference = pointer_overlaps(cfg)
-        row = moment_table(*entries(bell_phi_plus()), overlaps)[15]
-        estimate = readout_weak_value(row, reference, cfg.epsilon, cfg.sigma)
+        read, estimates, _ = readout(bell_phi_plus(), cfg)
+        assert read[15]
+        estimate = estimates[15]
         assert estimate.real == pytest.approx(1.0, abs=1e-6)
         # real weak value: momentum shift vanishes to O(eps^2)
         assert abs(estimate.imag) <= 10 * cfg.epsilon**2
@@ -202,57 +208,54 @@ class TestReadout:
         psi = np.array([1, 0, 0, 1j], dtype=complex) / np.sqrt(2)
         rho = validate(np.outer(psi, psi.conj()))
         cfg = default_config(1e-3)
-        overlaps, reference = pointer_overlaps(cfg)
-        row = moment_table(*entries(rho), overlaps)[15]
+        row = table(rho, cfg)[15]
         var_p = 1.0 / (4 * cfg.sigma**2)
         assert row[3] / row[0] == pytest.approx(-2 * cfg.epsilon * var_p, rel=1e-4)
-        estimate = readout_weak_value(row, reference, cfg.epsilon, cfg.sigma)
-        assert estimate.imag == pytest.approx(-1.0, abs=1e-5)
-        assert abs(estimate.real) <= 1e-6
+        read, estimates, _ = readout(rho, cfg)
+        assert read[15]
+        assert estimates[15].imag == pytest.approx(-1.0, abs=1e-5)
+        assert abs(estimates[15].real) <= 1e-6
 
     def test_requires_positive_epsilon(self):
-        cfg = default_config(1e-3)
-        overlaps, reference = pointer_overlaps(cfg)
-        row = moment_table(*entries(bell_phi_plus()), overlaps)[15]
-        with pytest.raises(ValueError):
-            readout_weak_value(row, reference, 0.0, cfg.sigma)
+        with pytest.raises(ValueError, match="epsilon > 0"):
+            readout(bell_phi_plus(), default_config(0.0))
 
 
 class TestEstimateWeakValues:
     def test_werner_k16(self):
-        readouts = estimate_weak_values(*entries(werner(0.5)), default_config(1e-3))
-        by_k = {r.k: r for r in readouts}
-        assert abs(by_k[16].estimate - 2 / 3) <= 5e-3
-        assert by_k[16].postselect_prob == pytest.approx((3 / 8) ** 2, abs=1e-6)
+        read, estimates, postselect = readout(werner(0.5), default_config(1e-3))
+        assert read[15]
+        assert abs(estimates[15] - 2 / 3) <= 5e-3
+        assert postselect[15] == pytest.approx((3 / 8) ** 2, abs=1e-6)
 
     def test_maximally_mixed_estimates_vanish(self, maximally_mixed):
-        readouts = estimate_weak_values(*entries(maximally_mixed), default_config(1e-3))
-        assert len(readouts) == 16
-        assert max(abs(r.estimate) for r in readouts) <= 1e-6
+        read, estimates, _ = readout(maximally_mixed, default_config(1e-3))
+        assert read.all()
+        assert np.abs(estimates).max() <= 1e-6
 
     def test_undefined_outcomes_skipped(self):
-        readouts = estimate_weak_values(*entries(bell_phi_plus()), default_config(1e-3))
-        assert {r.k for r in readouts} == {1, 4, 13, 16}
+        read, estimates, _ = readout(bell_phi_plus(), default_config(1e-3))
+        assert set(np.flatnonzero(read) + 1) == {1, 4, 13, 16}
+        assert (estimates[~read] == 0).all()
 
     @given(seeds)
     @settings(max_examples=5)
     def test_close_to_exact(self, seed):
         rho = random_mixed(seed)
-        exact, _, defined, _ = record(rho)
+        _, _, exact, defined, _ = record(rho)
         eps = 1e-3
-        readouts = estimate_weak_values(*entries(rho), default_config(eps))
-        for readout in readouts:
-            assert defined[readout.k - 1]
-            assert abs(readout.estimate - exact[readout.k - 1]) <= 5 * eps
+        read, estimates, _ = readout(rho, default_config(eps))
+        assert not (read & ~defined).any()
+        assert (np.abs(estimates - exact)[read] <= 5 * eps).all()
 
     def test_error_halving_ratio(self):
         rho = random_mixed(404)
-        exact, _, defined, _ = record(rho)
+        _, _, exact, defined, _ = record(rho)
         assert defined.all()
 
         def max_err(eps):
-            readouts = estimate_weak_values(*entries(rho), default_config(eps))
-            return max(abs(r.estimate - exact[r.k - 1]) for r in readouts)
+            read, estimates, _ = readout(rho, default_config(eps))
+            return np.abs(estimates - exact)[read].max()
 
         ratio = max_err(1e-3) / max_err(5e-4)
         assert 1.7 <= ratio <= 4.3
@@ -316,8 +319,9 @@ class TestOverlapCache:
 
     def test_cached_estimates_match_a_cold_build(self):
         rho, cfg = random_mixed(5), small_config()
-        cold = estimate_weak_values(*entries(rho), cfg)
-        assert estimate_weak_values(*entries(rho), cfg) == cold
+        cold = readout(rho, cfg)
+        for got, want in zip(readout(rho, cfg), cold):
+            assert got.tobytes() == want.tobytes()
         assert self.counts() == (1, 1)
 
 

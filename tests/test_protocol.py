@@ -6,11 +6,13 @@ from weakdetect.protocol import (
     HAMILTONIAN,
     INFORMATIVE_OUTCOMES,
     OUTCOME_RATIO_INDEX,
+    PERM,
     DecisionPath,
     NoSignalError,
     TAU_DEN,
     TAU_DIAG,
     _FALLBACK,
+    _LOCAL_PERM,
     _PRIMARY,
     _det_terms,
     detect,
@@ -168,34 +170,36 @@ class TestWeakValuesAll:
     @given(seeds)
     def test_identities(self, seed):
         rho = random_mixed(seed)
-        values, _, defined, _ = record(rho)
+        _, _, values, defined, _ = record(rho)
         assert defined.all()
         for k, oracle in RATIO_ORACLE.items():
             assert abs(values[k - 1] - oracle(rho.matrix)) <= 1e-12
 
     @given(seeds)
     def test_redundant_outcomes(self, seed):
-        values = record(random_mixed(seed))[0]
+        values = record(random_mixed(seed))[2]
         for k in (5, 6, 7, 8):
             assert abs(values[k - 1] - values[k - 5]) <= 1e-12
 
     @given(seeds)
     def test_gather_matches_definition(self, seed):
         # <u_k| H (rho x rho) |u_k> / <u_k| rho x rho |u_k> through the full
-        # two-copy matrices
+        # two-copy matrices, for the conditional flip and for the local flip
+        # of detect_pure_local
         rho = random_mixed(seed)
-        values = record(rho)[0]
-        for k in range(1, 17):
-            want = exact_weak_value(rho, HAMILTONIAN, k)
-            assert abs(values[k - 1] - want) <= 1e-12 * (1 + abs(want))
+        for perm, hamiltonian in ((PERM, HAMILTONIAN), (_LOCAL_PERM, build_local_hamiltonian())):
+            values = record(rho, perm)[2]
+            for k in range(1, 17):
+                want = exact_weak_value(rho, hamiltonian, k)
+                assert abs(values[k - 1] - want) <= 1e-12 * (1 + abs(want))
 
     def test_maximally_mixed_all_zero(self, maximally_mixed):
-        values, _, defined, _ = record(maximally_mixed)
+        _, _, values, defined, _ = record(maximally_mixed)
         assert defined.all()
         assert (values == 0).all()
 
     def test_defined_mask_tracks_probabilities(self, bell):
-        _, probabilities, defined, _ = record(bell)
+        _, probabilities, _, defined, _ = record(bell)
         assert set(np.flatnonzero(defined) + 1) == {1, 4, 13, 16}
         assert probabilities[5] == 0.0
         assert probabilities[15] == pytest.approx(0.25)
@@ -222,21 +226,21 @@ class TestWeakValuesAll:
 class TestDiagonalsFromPostselection:
     def test_werner_half(self):
         # Pr(k=1) = p^2 = (3/8)^2 = 9/64
-        _, probabilities, _, (p, q, r, s) = record(werner(0.5))
+        _, probabilities, _, _, (p, q, r, s) = record(werner(0.5))
         assert probabilities[0] == pytest.approx(9 / 64, abs=1e-14)
         assert (p, s) == (pytest.approx(3 / 8), pytest.approx(3 / 8))
         assert (q, r) == (pytest.approx(1 / 8), pytest.approx(1 / 8))
 
     def test_maximally_mixed(self, maximally_mixed):
-        assert record(maximally_mixed)[3] == pytest.approx((0.25, 0.25, 0.25, 0.25))
+        assert record(maximally_mixed)[4] == pytest.approx((0.25, 0.25, 0.25, 0.25))
 
     def test_basis_state(self):
-        assert record(basis_state(1))[3].tolist() == [0.0, 1.0, 0.0, 0.0]
+        assert record(basis_state(1))[4].tolist() == [0.0, 1.0, 0.0, 0.0]
 
     @given(seeds)
     def test_matches_diagonal(self, seed):
         rho = random_mixed(seed)
-        np.testing.assert_allclose(record(rho)[3], rho.diagonal(), atol=1e-12)
+        np.testing.assert_allclose(record(rho)[4], rho.diagonal(), atol=1e-12)
 
 
 class TestDetBracket:
@@ -270,7 +274,7 @@ class TestDetBracket:
     def test_conjugate_consistency(self, seed):
         # conj(u*/p) * p must equal (u/q) * q whenever all four are defined
         rho = random_mixed(seed)
-        values, _, _, (p, q, _, _) = record(rho)
+        _, _, values, _, (p, q, _, _) = record(rho)
         lhs = np.conj(values[0]) * p
         rhs = values[1] * q
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
@@ -493,7 +497,7 @@ class TestReconstruct:
 
     def test_fallback_to_conjugate_partner(self):
         rho = random_mixed(17)
-        values, _, defined, diagonal = weak_values_batch(rho.matrix[None])
+        _, _, values, defined, diagonal = weak_values_batch(rho.matrix[None])
         # strip the primary outcomes so every element uses its fallback
         defined &= np.isin(np.arange(1, 17), (1, 3, 9, 10, 13, 14))
         values = np.where(defined, values, 0.0)
@@ -501,12 +505,12 @@ class TestReconstruct:
         assert trace_distance_batch(rho.matrix[None], rebuilt)[0] <= 1e-8
 
     def test_rejects_bad_diagonal_sum(self):
-        values, _, defined, _ = weak_values_batch(werner(0.5).matrix[None])
+        _, _, values, defined, _ = weak_values_batch(werner(0.5).matrix[None])
         with pytest.raises(ValueError):
             reconstruct_batch(values, defined, np.array([[0.5, 0.5, 0.5, 0.5]]))
 
     def test_rejects_negative_diagonal(self):
-        values, _, defined, _ = weak_values_batch(werner(0.5).matrix[None])
+        _, _, values, defined, _ = weak_values_batch(werner(0.5).matrix[None])
         with pytest.raises(ValueError):
             reconstruct_batch(values, defined, np.array([[1.2, -0.2, 0.0, 0.0]]))
 
@@ -530,7 +534,7 @@ class TestReconstruct:
     def test_rejects_inconsistent_data(self, bell):
         # Bell weak values give w/s = 1, so w = s after recovery; forcing
         # s > p makes the (|00>, |11>) block indefinite
-        values, _, defined, _ = weak_values_batch(bell.matrix[None])
+        _, _, values, defined, _ = weak_values_batch(bell.matrix[None])
         with pytest.raises(PositivityError):
             reconstruct_batch(values, defined, np.array([[0.02, 0.0, 0.0, 0.98]]))
 
@@ -595,7 +599,7 @@ def test_element_ratio_no_signal(bell):
     # outcome 14 measures conj(rho[1, 2]) / q, and q = 0 for |Phi+>
     with pytest.raises(NoSignalError):
         exact_weak_value(bell, HAMILTONIAN, 14)
-    assert not record(bell)[2][13]
+    assert not record(bell)[3][13]
 
 
 def test_case_thresholds_respected():

@@ -240,7 +240,7 @@ class TestCouplingMiscalibration:
         rho = werner(0.5)
         eta = 1e-3
         pert, _ = coupling_miscalibration(eta)
-        values, _, defined, _ = record(rho)
+        _, _, values, defined, _ = record(rho)
         for k in np.flatnonzero(defined) + 1:
             expected = abs(values[k - 1]) * eta
             assert weak_value_deviation(rho, pert, k) == pytest.approx(
