@@ -288,6 +288,20 @@ class TestBenchmark:
         _, chunked = run_main(capsys, argv)
         assert chunked == whole
 
+    def test_two_eigen_solves_per_chunk(self, capsys, monkeypatch):
+        # Eight solves: the oracle and the trace distance of each chunk. The
+        # Cholesky screen clears both validated stacks, drawn and rebuilt.
+        eigvalsh, sizes = np.linalg.eigvalsh, []
+
+        def counted(a, *args, **kwargs):
+            sizes.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        code, _ = run_main(capsys, ["benchmark", "--trials", "1000"])
+        assert code == 0
+        assert sizes == [256, 256] * 3 + [232, 232]
+
     def test_zero_trials(self, capsys):
         code, out = run_main(capsys, ["benchmark", "--trials", "0"])
         assert code == 0

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from weakdetect.protocol import det_ptb_expansion
+from weakdetect.protocol import RECONSTRUCT_POSITIVITY_TOL, det_ptb_expansion
 from weakdetect.states import (
+    VALIDATION_ATOL,
     HermiticityError,
     NormalizationError,
     PositivityError,
@@ -23,6 +24,7 @@ from weakdetect.states import (
     state_to_json_dict,
     trace_distance,
     validate,
+    validate_batch,
     werner,
 )
 
@@ -65,11 +67,21 @@ class TestValidate:
         assert m[1, 1] == m[2, 2] == 0
 
     def test_negative_eigenvalue_rejected(self):
-        # 2x2 block [[1/2, 0.6], [0.6, 1/2]] has eigenvalues 1/2 +/- 0.6
+        # 2x2 block [[1/2, 0.6], [0.6, 1/2]] has eigenvalues 1/2 +/- 0.6.
+        # As one row of a stack of valid states it is named the same way.
         m = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
         m[0, 1] = m[1, 0] = 0.6
-        with pytest.raises(PositivityError):
+        message = "smallest eigenvalue -1.000e-01 below -1e-10"
+        with pytest.raises(PositivityError) as alone:
             validate(m)
+        assert str(alone.value) == message
+        valid = np.stack([random_mixed(seed).matrix for seed in range(256)])
+        for row in (0, 137, 255):
+            stack = valid.copy()
+            stack[row] = m
+            with pytest.raises(PositivityError) as stacked:
+                validate_batch(stack)
+            assert str(stacked.value) == message
 
     def test_non_hermitian_rejected(self):
         m = np.eye(4, dtype=complex) / 4
@@ -94,6 +106,57 @@ class TestValidate:
     def test_matrix_readonly(self, bell):
         with pytest.raises(ValueError):
             bell.matrix[0, 0] = 1.0
+
+
+def with_spectrum(rng, spectrum):
+    """U diag(spectrum) U^dag with U Haar-random (QR of a complex Gaussian)."""
+    q, r = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    u = q * (r.diagonal() / np.abs(r.diagonal()))
+    return (u * np.asarray(spectrum)) @ u.conj().T
+
+
+def eigvalsh_refusal(m, tol):
+    """The message of an eigenvalue-only positivity test, or None: the
+    reference for the Cholesky screen in ``validate_batch``."""
+    smallest = np.linalg.eigvalsh(((m + m.conj().T) / 2)[None])[0, 0]
+    if smallest < -tol:
+        return f"smallest eigenvalue {smallest:.3e} below -{tol:.0e}"
+    return None
+
+
+class TestPositivityEdge:
+    """States whose smallest eigenvalue sits at -tol * (1 + r)."""
+
+    @pytest.mark.parametrize("tol", [VALIDATION_ATOL, RECONSTRUCT_POSITIVITY_TOL])
+    @pytest.mark.parametrize("r", [0.0, 1e-9, -1e-9, 1e-6, -1e-6, 1e-3, -1e-3])
+    def test_matches_eigenvalue_reference(self, tol, r):
+        rng = np.random.default_rng(11)
+        refused = 0
+        for _ in range(40):
+            smallest = -tol * (1 + r)
+            rest = rng.dirichlet(np.ones(3)) * (1 - smallest)
+            m = with_spectrum(rng, [smallest, *rest])
+            expected = eigvalsh_refusal(m, tol)
+            if expected is None:
+                validate_batch(m[None], positivity_tol=tol)
+                continue
+            refused += 1
+            with pytest.raises(PositivityError) as err:
+                validate_batch(m[None], positivity_tol=tol)
+            assert str(err.value) == expected
+        # Roundoff (~1e-16) decides rows nearer the edge; these are clear.
+        if tol * abs(r) > 1e-13:
+            assert refused == (40 if r > 0 else 0)
+
+    @pytest.mark.parametrize("spectrum", [[1, 0, 0, 0], [0.5, 0.5, 0, 0],
+                                          [0.25, 0.25, 0.25, 0.25]])
+    def test_rank_deficient_and_mixed_pass_the_screen(self, spectrum, monkeypatch):
+        rng = np.random.default_rng(7)
+        stack = np.stack([with_spectrum(rng, spectrum) for _ in range(64)])
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *_: pytest.fail("screen fell back"))
+        for tol in (VALIDATION_ATOL, RECONSTRUCT_POSITIVITY_TOL):
+            assert np.array_equal(validate_batch(stack, positivity_tol=tol),
+                                  (stack + stack.conj().swapaxes(1, 2)) / 2)
 
 
 class TestPartialTranspose:
