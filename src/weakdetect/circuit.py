@@ -36,11 +36,11 @@ HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
 
 @dataclass(frozen=True, eq=False)
 class Gate:
-    """One gate: unitary ``matrix`` on ``targets``, fired when every
-    (qubit, value) control matches."""
+    """One gate: 2x2 unitary ``matrix`` on qubit ``target``, fired when
+    every (qubit, value) control matches."""
 
     label: str
-    targets: tuple[int, ...]
+    target: int
     matrix: np.ndarray
     controls: tuple[tuple[int, int], ...] = ()
 
@@ -79,41 +79,23 @@ def build_detection_circuit(epsilon: float) -> tuple[Gate, ...]:
     rx_minus = x_rotation(epsilon)
     rx_plus = x_rotation(-epsilon)
     return (
-        Gate("RX(-eps)", (3,), rx_minus, controls=((0, 0),)),
-        Gate("RX(-eps)", (2,), rx_minus, controls=((0, 1), (1, 0))),
-        Gate("H_D", (2,), HADAMARD),
-        Gate("RX(-eps)", (3,), rx_minus, controls=((0, 1), (1, 1), (2, 0))),
-        Gate("RX(+eps)", (3,), rx_plus, controls=((0, 1), (1, 1), (2, 1))),
-        Gate("H_D", (2,), HADAMARD),
+        Gate("RX(-eps)", 3, rx_minus, controls=((0, 0),)),
+        Gate("RX(-eps)", 2, rx_minus, controls=((0, 1), (1, 0))),
+        Gate("H_D", 2, HADAMARD),
+        Gate("RX(-eps)", 3, rx_minus, controls=((0, 1), (1, 1), (2, 0))),
+        Gate("RX(+eps)", 3, rx_plus, controls=((0, 1), (1, 1), (2, 1))),
+        Gate("H_D", 2, HADAMARD),
     )
 
 
 def embed_gate(gate: Gate) -> np.ndarray:
-    """Expand a gate into the full 16-dimensional unitary."""
-    d = gate.matrix.shape[0]
-    if gate.matrix.shape != (d, d) or d != 2 ** len(gate.targets):
-        raise ValueError(f"gate {gate.label}: matrix shape {gate.matrix.shape} "
-                         f"does not match {len(gate.targets)} target(s)")
-    deviation = float(np.max(np.abs(gate.matrix.conj().T @ gate.matrix - np.eye(d))))
-    if not deviation <= 1e-12:  # NaN entries fail too
-        raise ValueError(f"gate {gate.label} is not unitary ({deviation:.3e})")
-    if len(set(gate.targets)) != len(gate.targets):
-        raise ValueError(f"gate {gate.label}: repeated target qubit")
-    control_qubits = {c for c, _ in gate.controls}
-    if control_qubits & set(gate.targets):
-        raise ValueError(f"gate {gate.label}: controls overlap targets")
-    if any(not 0 <= t < N_QUBITS for t in list(gate.targets) + list(control_qubits)):
-        raise ValueError(f"gate {gate.label}: qubit index out of range")
-
-    # 1 - P + P G. G acts on the target bits and leaves the others alone:
-    # G[r, c] = matrix[local(r), local(c)] when r and c agree off the
-    # targets, local(.) reading the target bits in target order. P projects
-    # onto the basis states whose control bits match.
+    """Expand a single-qubit gate into the full 16-dimensional unitary
+    1 - P + P G: G[r, c] = matrix[bit(r), bit(c)] when r and c agree off the
+    target, and P projects onto the basis states whose controls match."""
     index = np.arange(DIM)
-    masks = 1 << (N_QUBITS - 1 - np.array(gate.targets, dtype=int))
-    local = ((index[:, None] & masks) > 0) @ (1 << np.arange(len(masks)))[::-1]
-    rest = index & ~masks.sum()
-    g = np.where(rest[:, None] == rest, gate.matrix[local[:, None], local], 0.0)
+    mask = 1 << (N_QUBITS - 1 - gate.target)
+    bit = (index & mask) // mask
+    g = np.where((index[:, None] ^ index) | mask == mask, gate.matrix[bit[:, None], bit], 0.0)
     fires = np.ones(DIM, dtype=bool)
     for qubit, value in gate.controls:
         fires &= (index >> (N_QUBITS - 1 - qubit)) & 1 == value

@@ -163,34 +163,21 @@ _A, _B = np.divmod(np.arange(16), 4)
 # Outcomes 1, 6, 11, 16 post-select both copies on one basis state: p^2 .. s^2.
 _SQUARE_OUTCOMES = 5 * np.arange(4)
 
-# outcome k -> (row, col, diagonal index) of the element ratio it measures:
-# weak value at k equals matrix[row, col] / matrix[diag, diag]. H is block
-# diagonal over the first copy (a' = a), so with j = k - 1 the gather
-# rho[a', a] rho[b', b] / (rho[a, a] rho[b, b]) is rho[b', b] / rho[b, b],
-# b' = PERM[j] % 4.
-OUTCOME_RATIO_INDEX: dict[int, tuple[int, int, int]] = {
-    j + 1: (int(PERM[j] % 4), int(_B[j]), int(_B[j])) for j in range(16)
+# (row, col) -> the first outcome k whose weak value is the element ratio
+# rho[row, col] / rho[col, col]. H is block diagonal over the first copy
+# (a' = a), so with j = k - 1 the gather rho[a', a] rho[b', b] /
+# (rho[a, a] rho[b, b]) is rho[b', b] / rho[b, b], b' = PERM[j] % 4.
+# Outcomes 5-8 repeat 1-4, so twelve outcomes measure the twelve elements.
+ELEMENT_OUTCOME: dict[tuple[int, int], int] = {
+    (int(PERM[j] % 4), j % 4): j + 1 for j in reversed(range(16))
 }
 
-# The first outcome measuring each element (row, col). Outcomes 5-8 repeat
-# 1-4, so these are the twelve informative outcomes.
-_FIRST_OUTCOME = {index[:2]: k for k, index in reversed(OUTCOME_RATIO_INDEX.items())}
-INFORMATIVE_OUTCOMES = tuple(sorted(_FIRST_OUTCOME.values()))
-
-
-def _measuring(row: int, col: int) -> tuple[int, int]:
-    """(column, diagonal index) of the first outcome measuring
-    matrix[row, col] / matrix[diag, diag]."""
-    k = _FIRST_OUTCOME[row, col]
-    return k - 1, OUTCOME_RATIO_INDEX[k][2]
-
-
-# Off-diagonal (i, j), i < j, in the order u, v, w, x, y, z: the primary
-# outcome measures rho[i, j] / d and the fallback outcome rho[j, i] / d',
-# as (column, diagonal index) pairs.
+# Off-diagonal (i, j), i < j, in the order u, v, w, x, y, z: the column of
+# the primary outcome, measuring rho[i, j] / rho[j, j], and of the fallback
+# outcome, measuring rho[j, i] / rho[i, i].
 _UPPER = np.triu_indices(4, 1)
-_PRIMARY = np.array([_measuring(i, j) for i, j in zip(*_UPPER)]).T
-_FALLBACK = np.array([_measuring(j, i) for i, j in zip(*_UPPER)]).T
+_PRIMARY = np.array([ELEMENT_OUTCOME[i, j] for i, j in zip(*_UPPER)]) - 1
+_FALLBACK = np.array([ELEMENT_OUTCOME[j, i] for i, j in zip(*_UPPER)]) - 1
 
 
 def _elements(values: np.ndarray, defined: np.ndarray, diagonal: np.ndarray,
@@ -199,11 +186,11 @@ def _elements(values: np.ndarray, defined: np.ndarray, diagonal: np.ndarray,
     their defined mask and (N, 4) diagonals: ratio * diagonal from the
     primary outcome, else from its conjugate partner, else ``unmeasured``
     (a scalar or an (N, 6) array)."""
-    (k1, d1), (k2, d2) = _PRIMARY, _FALLBACK
+    k1, k2 = _PRIMARY, _FALLBACK
     return np.where(
         defined[:, k1],
-        values[:, k1] * diagonal[:, d1],
-        np.where(defined[:, k2], values[:, k2].conj() * diagonal[:, d2], unmeasured),
+        values[:, k1] * diagonal[:, _UPPER[1]],
+        np.where(defined[:, k2], values[:, k2].conj() * diagonal[:, _UPPER[0]], unmeasured),
     )
 
 
@@ -333,10 +320,12 @@ def reconstruct_batch(values: np.ndarray, defined: np.ndarray, diagonal: np.ndar
         # An unmeasured element between two non-zero diagonals may be
         # non-zero in the true state; rebuilt as 0 it can break positivity.
         rows, cols = _UPPER
-        (k1, _), (k2, _) = _PRIMARY, _FALLBACK
-        failed = np.linalg.eigvalsh(m)[:, 0] < -RECONSTRUCT_POSITIVITY_TOL
+        k1, k2 = _PRIMARY, _FALLBACK
         lost = ~(defined[:, k1] | defined[:, k2]) & (diagonal[:, rows] * diagonal[:, cols] > 0)
-        culprits = np.flatnonzero(failed & lost.any(axis=1))
+        suspects = np.flatnonzero(lost.any(axis=1))
+        if not suspects.size:
+            raise
+        culprits = suspects[np.linalg.eigvalsh(m[suspects])[:, 0] < -RECONSTRUCT_POSITIVITY_TOL]
         if not culprits.size:
             raise
         named = ", ".join(f"element ({rows[e]}, {cols[e]}) (outcomes {k1[e] + 1} and {k2[e] + 1})"

@@ -103,14 +103,13 @@ def amplitudes_to_json_dict(psi):
 
 def format_circuit(gates, epsilon):
     """Plain-text gate list of the circuit at coupling ``epsilon``: label,
-    controls, targets."""
+    controls, target."""
     lines = [f"circuit (epsilon = {epsilon!r})"]
     for i, gate in enumerate(gates, start=1):
         controls = (
             ", ".join(f"q{c}={v}" for c, v in gate.controls) if gate.controls else "-"
         )
-        targets = ", ".join(f"q{t}" for t in gate.targets)
-        lines.append(f"{i}. {gate.label:10s} controls: {controls:24s} targets: {targets}")
+        lines.append(f"{i}. {gate.label:10s} controls: {controls:24s} targets: q{gate.target}")
     return "\n".join(lines)
 
 

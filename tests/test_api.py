@@ -10,12 +10,14 @@ PUBLIC = {
 }
 
 # One-state twins of the batch functions, functions only the tests called,
-# the pointer layer's wrappers and the second gather of the post-selection
-# record; the references and test helpers among them live in conftest.
+# the pointer layer's wrappers, the second gather of the post-selection
+# record and the outcome tables that ELEMENT_OUTCOME replaced; the
+# references and test helpers among them live in conftest.
 REMOVED = {
     protocol: ("WeakValueSet", "weak_values_all", "diagonals_from_postselection", "reconstruct",
                "build_hamiltonian", "build_local_hamiltonian", "exact_weak_value",
-               "joint_entries"),
+               "joint_entries", "OUTCOME_RATIO_INDEX", "INFORMATIVE_OUTCOMES", "_FIRST_OUTCOME",
+               "_measuring"),
     states: ("det_ptb", "partial_transpose_b", "negativity", "entanglement_estimate",
              "amplitudes_to_json_dict"),
     circuit: ("format_circuit", "CircuitSpec"),

@@ -3,9 +3,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from weakdetect.protocol import (
+    ELEMENT_OUTCOME,
     HAMILTONIAN,
-    INFORMATIVE_OUTCOMES,
-    OUTCOME_RATIO_INDEX,
     PERM,
     DecisionPath,
     NoSignalError,
@@ -29,6 +28,7 @@ from weakdetect.states import (
     ppt_entangled,
     ppt_oracle,
     random_mixed,
+    random_mixed_batch,
     random_pure,
     trace_distance,
     trace_distance_batch,
@@ -206,21 +206,21 @@ class TestWeakValuesAll:
 
     @given(seeds)
     def test_ratio_table_matches_oracle(self, seed):
-        # OUTCOME_RATIO_INDEX is derived from PERM; read off the matrix it
-        # must name the element ratio of RATIO_ORACLE, and outcomes 5-8
-        # must repeat 1-4
+        # ELEMENT_OUTCOME is derived from PERM; read off the matrix, each
+        # element ratio rho[row, col] / rho[col, col] must be the one
+        # RATIO_ORACLE names for its outcome
         m = random_mixed(seed).matrix
-        for k, (row, col, diag) in OUTCOME_RATIO_INDEX.items():
-            want = RATIO_ORACLE[k if k in RATIO_ORACLE else k - 4](m)
-            assert abs(m[row, col] / m[diag, diag].real - want) <= 1e-12 * (1 + abs(want))
+        for (row, col), k in ELEMENT_OUTCOME.items():
+            want = RATIO_ORACLE[k](m)
+            assert abs(m[row, col] / m[col, col].real - want) <= 1e-12 * (1 + abs(want))
 
     def test_derived_outcome_lists(self):
         # the informative outcomes and the outcomes measuring u, v, w, x, y, z
         # (primary) or their conjugates (fallback) are derived from
-        # OUTCOME_RATIO_INDEX, not typed in
-        assert INFORMATIVE_OUTCOMES == tuple(RATIO_ORACLE)
-        assert tuple(_PRIMARY[0] + 1) == (2, 11, 16, 15, 12, 4)
-        assert tuple(_FALLBACK[0] + 1) == (1, 9, 13, 14, 10, 3)
+        # ELEMENT_OUTCOME, not typed in
+        assert set(ELEMENT_OUTCOME.values()) == set(RATIO_ORACLE)
+        assert tuple(_PRIMARY + 1) == (2, 11, 16, 15, 12, 4)
+        assert tuple(_FALLBACK + 1) == (1, 9, 13, 14, 10, 3)
 
 
 class TestDiagonalsFromPostselection:
@@ -522,6 +522,26 @@ class TestReconstruct:
         message = r"for element \(1, 3\) \(outcomes 12 and 10\), rebuilt as 0$"
         with pytest.raises(NoSignalError, match=message):
             round_trip(rho)
+
+    def test_refusal_solves_only_rows_that_lost_an_element(self, monkeypatch):
+        # validate_batch solves the whole stack once to refuse it; naming the
+        # culprit then solves only the pure state's row, the one row whose
+        # element y went unmeasured
+        psi = np.array([0.6, 0.48, 0.0, 0.64])
+        ginibre = random_mixed_batch(np.random.default_rng(0), 256)
+        _, _, values, defined, diagonal = weak_values_batch(
+            np.concatenate([ginibre, np.outer(psi, psi)[None]]))
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        with pytest.raises(NoSignalError, match=r"element \(1, 3\) \(outcomes 12 and 10\)"):
+            reconstruct_batch(values, defined, diagonal)
+        assert shapes == [(257, 4, 4), (1, 4, 4)]
 
     def test_unmeasured_element_kept_at_zero_when_still_valid(self):
         # p = s = 0 silences both outcomes of x = rho[1, 2]; x = 0 stays a
