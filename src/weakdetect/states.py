@@ -36,6 +36,11 @@ VALIDATION_ATOL = 1e-10
 # backward error of a 4x4 factorisation of a unit-trace matrix.
 CHOLESKY_MARGIN = 64 * 2.0**-53
 
+# Half-width, per unit of trace, of the band around -tau inside which the
+# partial-transpose oracle falls back to eigvalsh: 256 units of roundoff
+# (derived in ppt_entangled).
+PPT_MARGIN = 256 * 2.0**-53
+
 
 class StateValidationError(ValueError):
     """A 4x4 matrix failed one of the density-matrix checks."""
@@ -133,9 +138,13 @@ def validate_batch(stack, *, positivity_tol: float = VALIDATION_ATOL) -> np.ndar
     ``||dA||_2 <= gamma_5 ||R||_F^2 ~= gamma_5 tr(A) ~= 5u``, since the trace
     was checked to be 1. The margin of 64u covers that bound, the larger
     constants of complex arithmetic and the rounding of the shift. If any
-    matrix does not factor, ``eigvalsh`` decides the whole stack: a refusal
-    names the smallest eigenvalue, and rows within the margin of the
-    tolerance need the eigenvalue itself.
+    matrix does not factor, the same shifted factorisation runs row by row
+    (:func:`_cholesky_completes`) and ``eigvalsh`` decides only the rows
+    that do not factor: a refusal names the smallest eigenvalue, and rows
+    within the margin of the tolerance need the eigenvalue itself. A row
+    that factors clears ``-positivity_tol`` by the margin less the backward
+    error above, so it cannot be the first low row, and the message is the
+    one a solve of the whole stack gives.
     """
     arr = np.asarray(stack, dtype=complex)
     if arr.ndim != 3 or arr.shape[1:] != (4, 4):
@@ -158,12 +167,13 @@ def validate_batch(stack, *, positivity_tol: float = VALIDATION_ATOL) -> np.ndar
     if off.any():
         raise TraceError(f"trace is {complex(trace[off][0])!r}, expected 1")
     sym = (arr + adjoint) / 2
+    shifted = sym + (positivity_tol - CHOLESKY_MARGIN) * np.eye(4)
     try:
-        np.linalg.cholesky(sym + (positivity_tol - CHOLESKY_MARGIN) * np.eye(4))
+        np.linalg.cholesky(shifted)
         return sym
     except np.linalg.LinAlgError:
         pass
-    smallest = np.linalg.eigvalsh(sym)[:, 0]
+    smallest = np.linalg.eigvalsh(sym[~_cholesky_completes(shifted)])[:, 0]
     low = smallest < -positivity_tol
     if low.any():
         raise PositivityError(
@@ -178,10 +188,72 @@ def _partial_transpose(m: np.ndarray) -> np.ndarray:
     return m.reshape(*m.shape[:-2], 2, 2, 2, 2).swapaxes(-1, -3).reshape(m.shape)
 
 
+def _cholesky_completes(a: np.ndarray) -> np.ndarray:
+    """Rows of an (N, 4, 4) Hermitian stack whose Cholesky factorisation
+    runs to completion with every pivot positive.
+
+    The factorisation is the square-root-free form ``L D L^H`` (so
+    ``R = D^1/2 L^H`` and pivot ``d_k = r_kk^2``), right-looking and
+    vectorised over the stack; ``a`` is overwritten with the Schur
+    complements. A row whose pivot is not positive is marked and carried on
+    with an infinite pivot, which leaves its remaining entries alone.
+    """
+    completes = np.ones(len(a), dtype=bool)
+    with np.errstate(all="ignore"):  # a tiny positive pivot may overflow a row that fails anyway
+        for k in range(4):
+            pivot = a[:, k, k].real
+            completes &= pivot > 0
+            column = a[:, k + 1:, k] / np.where(completes, pivot, np.inf)[:, None]
+            a[:, k + 1:, k + 1:] -= column[:, :, None] * a[:, None, k, k + 1:]
+    return completes
+
+
 def ppt_entangled(stack: np.ndarray, *, tau: float = TAU_DET) -> np.ndarray:
     """Ground-truth verdicts (True = entangled) for an (N, 4, 4) stack of
-    states, from the smallest partial-transpose eigenvalue."""
-    return np.linalg.eigvalsh(_partial_transpose(stack))[:, 0] < -tau
+    states: ``eigvalsh(rho^TB)[:, 0] < -tau``, row for row.
+
+    The question is whether ``rho^TB + tau * 1`` is positive definite. A
+    Cholesky factorisation answers it for every row outside a band of
+    half-width ``m = PPT_MARGIN * (1 + 4 |tau|)`` around ``-tau``; both
+    shifts ``c = tau -/+ m`` are screened in one stacked pass of
+    :func:`_cholesky_completes`. With u = 2^-53, ``A = rho^TB + c * 1`` and
+    ``R = D^1/2 L^H``:
+
+    - Separable. If ``rho^TB + (tau - m) * 1`` factors, then
+      ``R^H R = A + dA`` with ``|dA| <= gamma_5 |R^H| |R|`` (Higham,
+      *Accuracy and Stability of Numerical Algorithms*, 2nd ed., Thm 10.5),
+      so ``||dA||_2 <= gamma_5 ||R||_F^2 = gamma_5 tr(A + dA)``. As
+      ``tr(A) = 1 + 4c``, ``lambda_min(rho^TB) >= -tau + m - 5u (1 + 4c)``
+      to first order.
+    - Entangled. If ``rho^TB + (tau + m) * 1`` meets a pivot <= 0, the
+      unit-diagonal scaling ``H = D_A^-1/2 A D_A^-1/2`` has
+      ``lambda_min(H) <= n gamma_(n+1) ~= 20u`` (Thm 10.7, after Demmel,
+      1989). So ``lambda_min(A) <= 20u max_i a_ii <= 20u (1 + c)`` and
+      ``lambda_min(rho^TB) <= -tau - m + 20u (1 + c)``.
+    - ``eigvalsh`` computes each eigenvalue of ``rho^TB`` to within
+      ``p(4) u ||rho^TB||_2``, and ``||rho^TB||_2 <= 1`` for a state.
+
+    Complex arithmetic enlarges the gamma constants by a small factor (up
+    to 4: 20u and 80u per unit of trace), and the shift rounds by
+    ``u (1 + |c|)``. A margin of 256u per unit of trace leaves over 150u
+    for ``p(4) u``, so a row that either test settles gets the verdict that
+    ``eigvalsh`` gives. Rows that neither settles have
+    ``|lambda_min + tau|`` within about ``m``. There roundoff decides the
+    sign, so they keep ``eigvalsh``, whose verdict is the definition the
+    oracle answers to. Product states with an exact zero eigenvalue land
+    there at ``tau = 0``.
+    """
+    pt = _partial_transpose(stack)
+    n = len(pt)
+    margin = PPT_MARGIN * (1 + 4 * abs(tau))
+    eye = np.eye(4)
+    completes = _cholesky_completes(np.concatenate([pt + (tau - margin) * eye,
+                                                    pt + (tau + margin) * eye]))
+    entangled = ~completes[:n]
+    band = np.flatnonzero(entangled & completes[n:])
+    if band.size:
+        entangled[band] = np.linalg.eigvalsh(pt[band])[:, 0] < -tau
+    return entangled
 
 
 def ppt_oracle(rho: TwoQubitState) -> Verdict:

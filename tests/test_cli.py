@@ -288,9 +288,10 @@ class TestBenchmark:
         _, chunked = run_main(capsys, argv)
         assert chunked == whole
 
-    def test_two_eigen_solves_per_chunk(self, capsys, monkeypatch):
-        # Eight solves: the oracle and the trace distance of each chunk. The
-        # Cholesky screen clears both validated stacks, drawn and rebuilt.
+    def test_one_eigen_solve_per_chunk(self, capsys, monkeypatch):
+        # Four solves: the trace distance of each chunk. The Cholesky screens
+        # clear both validated stacks, drawn and rebuilt, and decide the
+        # oracle's verdict on every Ginibre state.
         eigvalsh, sizes = np.linalg.eigvalsh, []
 
         def counted(a, *args, **kwargs):
@@ -300,7 +301,7 @@ class TestBenchmark:
         monkeypatch.setattr(np.linalg, "eigvalsh", counted)
         code, _ = run_main(capsys, ["benchmark", "--trials", "1000"])
         assert code == 0
-        assert sizes == [256, 256] * 3 + [232, 232]
+        assert sizes == [256] * 3 + [232]
 
     def test_zero_trials(self, capsys):
         code, out = run_main(capsys, ["benchmark", "--trials", "0"])

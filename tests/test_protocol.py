@@ -524,9 +524,9 @@ class TestReconstruct:
             round_trip(rho)
 
     def test_refusal_solves_only_rows_that_lost_an_element(self, monkeypatch):
-        # validate_batch solves the whole stack once to refuse it; naming the
-        # culprit then solves only the pure state's row, the one row whose
-        # element y went unmeasured
+        # validate_batch solves only the row that fails its screen to refuse
+        # the stack; naming the culprit then solves only the pure state's
+        # row, the one row whose element y went unmeasured
         psi = np.array([0.6, 0.48, 0.0, 0.64])
         ginibre = random_mixed_batch(np.random.default_rng(0), 256)
         _, _, values, defined, diagonal = weak_values_batch(
@@ -541,7 +541,7 @@ class TestReconstruct:
         monkeypatch.setattr(np.linalg, "eigvalsh", recording)
         with pytest.raises(NoSignalError, match=r"element \(1, 3\) \(outcomes 12 and 10\)"):
             reconstruct_batch(values, defined, diagonal)
-        assert shapes == [(257, 4, 4), (1, 4, 4)]
+        assert shapes == [(1, 4, 4), (1, 4, 4)]
 
     def test_unmeasured_element_kept_at_zero_when_still_valid(self):
         # p = s = 0 silences both outcomes of x = rho[1, 2]; x = 0 stays a

@@ -6,6 +6,8 @@ from hypothesis import given, strategies as st
 
 from weakdetect.protocol import RECONSTRUCT_POSITIVITY_TOL, det_ptb_expansion
 from weakdetect.states import (
+    PPT_MARGIN,
+    TAU_DET,
     VALIDATION_ATOL,
     HermiticityError,
     NormalizationError,
@@ -17,8 +19,10 @@ from weakdetect.states import (
     Verdict,
     amplitudes_from_json_dict,
     bell_phi_plus,
+    ppt_entangled,
     ppt_oracle,
     random_mixed,
+    random_mixed_batch,
     random_pure,
     state_from_json_dict,
     state_to_json_dict,
@@ -82,6 +86,27 @@ class TestValidate:
             with pytest.raises(PositivityError) as stacked:
                 validate_batch(stack)
             assert str(stacked.value) == message
+
+    def test_refusal_solves_only_rows_that_fail_the_screen(self, monkeypatch):
+        # Two bad rows in 256: the eigen-solve sees those two, and the
+        # message names the first, as a solve of the whole stack would.
+        bad = np.diag([0.5, 0.5, 0.0, 0.0]).astype(complex)
+        bad[0, 1] = bad[1, 0] = 0.6
+        worse = bad.copy()
+        worse[0, 1] = worse[1, 0] = 0.7
+        stack = np.stack([random_mixed(seed).matrix for seed in range(256)])
+        stack[40], stack[200] = bad, worse
+        shapes = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        with pytest.raises(PositivityError, match=r"^smallest eigenvalue -1\.000e-01 below"):
+            validate_batch(stack)
+        assert shapes == [(2, 4, 4)]
 
     def test_non_hermitian_rejected(self):
         m = np.eye(4, dtype=complex) / 4
@@ -252,6 +277,150 @@ class TestPptOracle:
         det = det_ptb(rho)
         if abs(det) > 1e-9:
             assert (det < 0) == (ppt_oracle(rho) is Verdict.ENTANGLED)
+
+
+def haar_local(rng, n):
+    """(n, 4, 4) local unitaries U_A (x) U_B, each factor Haar-random."""
+    g = rng.standard_normal((n, 2, 2, 2)) + 1j * rng.standard_normal((n, 2, 2, 2))
+    q, r = np.linalg.qr(g)
+    phases = np.diagonal(r, axis1=-2, axis2=-1)
+    u = q * (phases / np.abs(phases))[..., None, :]
+    return np.einsum("nab,ncd->nacbd", u[:, 0], u[:, 1]).reshape(n, 4, 4)
+
+
+def rotated(rng, stack):
+    """Each state of the stack under its own random local unitary: the
+    partial-transpose spectrum, and so the verdict, is unchanged."""
+    u = haar_local(rng, len(stack))
+    return validate_batch(u @ stack @ u.conj().swapaxes(1, 2))
+
+
+def pure_stack(vectors):
+    v = vectors / np.linalg.norm(vectors, axis=1, keepdims=True)
+    return validate_batch(v[:, :, None] * v.conj()[:, None, :])
+
+
+def partial_transposes(stack):
+    return stack.reshape(-1, 2, 2, 2, 2).swapaxes(2, 4).reshape(-1, 4, 4)
+
+
+def smallest_pt_eigenvalue(stack):
+    return np.linalg.eigvalsh(partial_transposes(stack))[:, 0]
+
+
+def ginibre_family(rng):
+    return random_mixed_batch(rng, 256)
+
+
+def werner_edge_family(rng):
+    # p = 1/3 +/- 10^-k, k = 1..15, each under 8 local rotations
+    p = 1 / 3 + np.outer([1, -1], 10.0 ** -np.arange(1, 16)).ravel()
+    m = np.zeros((len(p), 4, 4), dtype=complex)
+    m[:, 0, 0] = m[:, 3, 3] = (1 + p) / 4
+    m[:, 1, 1] = m[:, 2, 2] = (1 - p) / 4
+    m[:, 0, 3] = m[:, 3, 0] = p / 2
+    return rotated(rng, np.repeat(m, 8, axis=0))
+
+
+def weak_pure_family(rng):
+    # (|00> + |01> + |10>)/2 + (1/2 + eta)|11>: entangled by eta alone
+    eta = 10.0 ** rng.uniform(-6, -1, 200)
+    v = np.column_stack([np.full(200, 0.5), np.full(200, 0.5), np.full(200, 0.5), 0.5 + eta])
+    return rotated(rng, pure_stack(v.astype(complex)))
+
+
+def rank_deficient_family(rng):
+    # rank 1, 2 or 3 mixes of Haar-random pure states
+    spectra = [[*rng.dirichlet(np.ones(k)), *[0.0] * (4 - k)] for k in np.arange(200) % 3 + 1]
+    return validate_batch(np.stack([with_spectrum(rng, s) for s in spectra]))
+
+
+def zero_diagonal_family(rng):
+    # One or two amplitudes zero: rho has zero diagonals, and rho^TB
+    # exact-zero entries, as in the detector's CaseI and CaseII
+    v = rng.standard_normal((200, 4)) + 1j * rng.standard_normal((200, 4))
+    rows = np.arange(200)
+    v[rows, rows % 4] = 0
+    v[rows[::2], (rows[::2] + 1) % 4] = 0
+    return pure_stack(v)
+
+
+def product_family(rng):
+    # pure (x) pure, then full-rank mixed (x) mixed, the factors being the
+    # reduced states of Ginibre states
+    pure = np.stack([random_product_state(rng).matrix for _ in range(100)])
+    a = random_mixed_batch(rng, 100).reshape(100, 2, 2, 2, 2).trace(axis1=2, axis2=4)
+    b = random_mixed_batch(rng, 100).reshape(100, 2, 2, 2, 2).trace(axis1=1, axis2=3)
+    mixed = np.einsum("nab,ncd->nacbd", a, b).reshape(100, 4, 4)
+    return validate_batch(np.concatenate([pure, mixed]))
+
+
+FAMILIES = {f.__name__: f for f in (ginibre_family, werner_edge_family, weak_pure_family,
+                                    rank_deficient_family, zero_diagonal_family,
+                                    product_family)}
+
+
+def at_edge(rng, tau, r):
+    """States with lambda_min(rho^TB) = -tau * (1 + r): an entangled
+    Ginibre state mixed with 1/4 just enough to lift its smallest
+    partial-transpose eigenvalue there."""
+    stack = random_mixed_batch(rng, 256)
+    low = smallest_pt_eigenvalue(stack)
+    stack, low = stack[low < -0.01], low[low < -0.01]
+    target = -tau * (1 + r)
+    t = (target - low) / (0.25 - low)
+    return validate_batch((1 - t)[:, None, None] * stack + t[:, None, None] * np.eye(4) / 4)
+
+
+TAUS = [TAU_DET, 0.0, 1e-3]
+
+
+class TestPptScreen:
+    """``ppt_entangled`` against its definition, ``eigvalsh(rho^TB)[:, 0] <
+    -tau``, solved for every row."""
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("family", FAMILIES)
+    def test_matches_eigenvalue_reference(self, family, tau):
+        stack = FAMILIES[family](np.random.default_rng(5))
+        expected = smallest_pt_eigenvalue(stack) < -tau
+        assert np.array_equal(ppt_entangled(stack, tau=tau), expected)
+
+    @pytest.mark.parametrize("tau", TAUS)
+    @pytest.mark.parametrize("r", [0.0, 1e-12, -1e-12, 1e-9, -1e-9, 1e-6, -1e-6])
+    def test_matches_eigenvalue_reference_at_edge(self, tau, r):
+        stack = at_edge(np.random.default_rng(6), tau, r)
+        smallest = smallest_pt_eigenvalue(stack)
+        # the built edge holds to roundoff
+        np.testing.assert_allclose(smallest, -tau * (1 + r), rtol=0, atol=1e-15)
+        verdict = ppt_entangled(stack, tau=tau)
+        assert np.array_equal(verdict, smallest < -tau)
+        if tau * abs(r) > 10 * PPT_MARGIN:  # outside the band: decided by the sign of r
+            assert (verdict == (r > 0)).all()
+
+    def test_ginibre_stack_needs_no_eigen_solve(self, monkeypatch):
+        stack = random_mixed_batch(np.random.default_rng(8), 256)
+        expected = smallest_pt_eigenvalue(stack) < -TAU_DET
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda *_: pytest.fail("oracle solved"))
+        assert np.array_equal(ppt_entangled(stack), expected)
+
+    def test_band_rows_alone_are_solved(self, monkeypatch):
+        # At tau = 0 a pure product state has lambda_min(rho^TB) = 0, inside
+        # the band; a full-rank mixed product is far from it.
+        stack = product_family(np.random.default_rng(9))
+        band = np.abs(smallest_pt_eigenvalue(stack)) <= PPT_MARGIN
+        assert band.sum() == 100
+        solved = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def recording(a, *args, **kwargs):
+            solved.append(np.array(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", recording)
+        ppt_entangled(stack, tau=0.0)
+        assert len(solved) == 1
+        assert np.array_equal(solved[0], partial_transposes(stack)[band])
 
 
 class TestNegativity:
