@@ -8,10 +8,20 @@ The weak value at outcome k moves by <u_k|P (rho x rho)|u_k> / <u_k|rho x rho|u_
 so the trials run in stacked passes: one batched eigvalsh rescales CHUNK draws
 and one contraction with rho x rho gives all their deviations. Trial i draws
 from child i of SeedSequence(seed), whatever the stacking or trial count.
+
+A child's stream is fixed by the four uint64 words it hands PCG64, so no
+child is spawned. SeedSequence derives those words with a data-independent
+uint32 hash (after M. E. O'Neill's seed_seq_fe, "Developing a seed_seq
+Alternative", 2015): the run entropy of SeedSequence(seed), shared by every
+child, is hashed once with Python ints, then each child's spawn key is mixed
+in and the output stage runs over a uint32 array of BLOCK children at a time.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -19,9 +29,18 @@ import numpy as np
 from .protocol import TAU_DIAG, weak_values_batch
 from .states import TwoQubitState
 
-# Trials per stacked pass. Each trial holds about 24 kB of temporaries, so at
-# 32 the peak resident set stays at that of a per-trial loop.
+# Trials per stacked pass. A request holds four pass buffers of 4 kB per
+# trial, so at 32 the peak resident set stays at that of a per-trial loop.
 CHUNK = 32
+# Children whose PCG64 words are hashed together: 32 kB of words.
+BLOCK = 1024
+
+# numpy.random.SeedSequence's hash constants; every product is mod 2^32.
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+_POOL = 4
 
 
 class RankDeficientError(ValueError):
@@ -63,15 +82,148 @@ def _check_delta(delta: float) -> None:
         raise ValueError(f"delta must be finite and non-negative, got {delta!r}")
 
 
+def _hash(word, const, mult):
+    """One step of SeedSequence's hash on a uint32 word (a Python int or a
+    uint32 array) under hash constant ``const``; returns the hashed word and
+    the next constant, ``const * mult``."""
+    word = word ^ const
+    const = const * mult & _M32
+    word = word * const & _M32
+    return word ^ word >> 16, const
+
+
+def _mix(x, y):
+    r = (_MIX_L * x - _MIX_R * y) & _M32
+    return r ^ r >> 16
+
+
+def _absorb(pool, word, const):
+    """Mix one entropy word into every pool word, as SeedSequence does with
+    each word beyond its pool size; returns the new pool and constant."""
+    out = []
+    for p in pool:
+        hashed, const = _hash(word, const, _MULT_A)
+        out.append(_mix(p, hashed))
+    return out, const
+
+
+def _run_pool(seed: int) -> tuple[list[int], int]:
+    """The pool and hash constant that every child of SeedSequence(seed)
+    starts from before its spawn key is mixed in.
+
+    A child's entropy is the seed's uint32 words, low first, zero-padded to
+    the pool size, then its spawn key. The first four words are hashed in,
+    the pool is cross-mixed, and any seed words beyond 128 bits are absorbed.
+    """
+    seed = operator.index(seed)
+    if seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed}")
+    words = [seed >> shift & _M32 for shift in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (_POOL - len(words))
+    pool, const = [], _INIT_A
+    for word in words[:_POOL]:
+        hashed, const = _hash(word, const, _MULT_A)
+        pool.append(hashed)
+    for src in range(_POOL):
+        for dst in range(_POOL):
+            if src != dst:
+                hashed, const = _hash(pool[src], const, _MULT_A)
+                pool[dst] = _mix(pool[dst], hashed)
+    for word in words[_POOL:]:
+        pool, const = _absorb(pool, word, const)
+    return pool, const
+
+
+def _child_words(run: tuple[list[int], int], lo: int, count: int) -> np.ndarray:
+    """(count, 4) uint64, C-contiguous: row j is what
+    ``SeedSequence(seed).spawn(...)[lo + j].generate_state(4, np.uint64)``
+    returns, for ``run = _run_pool(seed)``.
+
+    Spawn key i is one word below 2^32 and its low then its high word from
+    2^32 on, so only those children absorb a second word. The output stage
+    hashes the pool, cycled, into eight uint32 words: uint64 word w is words
+    2w (low half) and 2w + 1 (high half).
+    """
+    pool, const = run
+    keys = np.arange(lo, lo + count, dtype=np.uint64)
+    pool, after = _absorb([np.full(count, p, np.uint32) for p in pool],
+                          (keys & _M32).astype(np.uint32), const)
+    wide = keys > _M32
+    if wide.any():
+        high, _ = _absorb([p[wide] for p in pool], (keys[wide] >> 32).astype(np.uint32), after)
+        for p, h in zip(pool, high):
+            p[wide] = h
+    halves, const = [], _INIT_B
+    for i in range(2 * _POOL):
+        hashed, const = _hash(pool[i % _POOL], const, _MULT_B)
+        halves.append(hashed.astype(np.uint64))
+    return np.stack([halves[2 * w] | halves[2 * w + 1] << 32 for w in range(_POOL)], axis=1)
+
+
+@functools.cache
+def _child_seed_type() -> type:
+    """The ISeedSequence that hands PCG64 one child's precomputed words.
+
+    PCG64 refuses a seed object that is not an ISeedSequence. The class is
+    built on first use, so importing this module does not load numpy.random.
+    """
+    from numpy.random.bit_generator import ISeedSequence
+
+    class ChildWords(ISeedSequence):
+        def __init__(self, words: np.ndarray):
+            self.words = words
+
+        def generate_state(self, n_words, dtype=np.uint32):
+            if n_words != _POOL or dtype is not np.uint64:
+                raise ValueError("only the 4 uint64 words that seed PCG64 are held")
+            return self.words
+
+    return ChildWords
+
+
+def _child_streams(run: tuple[list[int], int], count: int):
+    """Children 0 .. count - 1 of the SeedSequence whose run pool is ``run``,
+    as ISeedSequences for PCG64, hashed BLOCK at a time."""
+    child = _child_seed_type()
+    for lo in range(0, count, BLOCK):
+        yield from map(child, _child_words(run, lo, min(BLOCK, count - lo)))
+
+
+def _perturb(delta: float, streams, draws: np.ndarray, herm: np.ndarray,
+             stack: np.ndarray) -> np.ndarray:
+    """Fill draws[i] from stream i and return stack[:n] for n streams: the
+    Hermitian parts rescaled to trace norm ``delta``.
+
+    The buffers hold at least n trials and are reused from pass to pass.
+    Each step is the ufunc that ``(g + g^H) / 2 * (delta / norms)`` calls,
+    with g = real + 1j * imag, so the bits are the same. Operands are cast,
+    transposed and broadcast by copies first: a ufunc that does so itself
+    fills 8192-element buffers, 128 KiB of complex, at glibc's mmap threshold.
+    """
+    n = 0
+    for n, stream in enumerate(streams, 1):
+        np.random.Generator(np.random.PCG64(stream)).standard_normal(out=draws[n - 1])
+    draws, herm, stack = draws[:n], herm[:n], stack[:n]
+    np.copyto(herm, draws[:, 1])
+    np.multiply(1j, herm, out=herm)
+    np.copyto(stack, draws[:, 0])
+    np.add(stack, herm, out=herm)
+    np.copyto(stack, herm.swapaxes(1, 2))
+    np.add(herm, np.conjugate(stack, out=stack), out=herm)
+    np.divide(herm, 2, out=herm)
+    np.copyto(stack, (delta / np.abs(np.linalg.eigvalsh(herm)).sum(axis=1))[:, None, None])
+    return np.multiply(herm, stack, out=stack)
+
+
 def perturbations(delta: float, streams) -> np.ndarray:
     """(len(streams), 16, 16) Hermitian parts of complex Gaussian matrices,
-    one per SeedSequence in ``streams``, rescaled to trace norm ``delta``."""
+    one per SeedSequence (or other ISeedSequence) in ``streams``, rescaled to
+    trace norm ``delta``."""
     _check_delta(delta)
-    draws = np.array([np.random.default_rng(s).standard_normal((2, 16, 16)) for s in streams])
-    g = draws[:, 0] + 1j * draws[:, 1]
-    herm = (g + g.conj().swapaxes(1, 2)) / 2
-    norms = np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
-    return herm * (delta / norms)[:, None, None]
+    streams = list(streams)
+    n = len(streams)
+    return _perturb(delta, streams, np.empty((n, 2, 16, 16)),
+                    np.empty((n, 16, 16), complex), np.empty((n, 16, 16), complex))
 
 
 def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> RobustnessReport:
@@ -94,6 +246,7 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
     if not bound < np.inf:
         raise ValueError(f"delta {delta!r} is too large: the bound delta/m "
                          f"with m = {m!r} is not finite")
+    run = _run_pool(seed)
 
     _, probabilities, _, signal, _ = (a[0] for a in weak_values_batch(rho.matrix[None]))
     joint = np.kron(rho.matrix, rho.matrix)
@@ -101,12 +254,16 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
     columns = joint[:, signal] / probabilities[signal]
     worst = np.zeros(np.count_nonzero(signal))
     violations = 0
-    # spawn numbers children consecutively, so spawning one pass at a time
-    # gives trial i child i without holding all ``trials`` seeds at once.
-    parent = np.random.SeedSequence(seed)
+    streams = _child_streams(run, trials)
+    draws = np.empty((CHUNK, 2, 16, 16))
+    herm, stack = np.empty((2, CHUNK, 16, 16), complex)
+    rows = np.empty((CHUNK, len(outcomes), 16), complex)
     for lo in range(0, trials, CHUNK):
-        stack = perturbations(delta, parent.spawn(min(CHUNK, trials - lo)))
-        dev = np.abs(np.einsum("tkl,lk->tk", stack[:, signal], columns))
+        n = min(CHUNK, trials - lo)
+        pass_stack = _perturb(delta, itertools.islice(streams, n), draws, herm, stack)
+        # mode="clip" lets take write into ``rows`` without a copy; no index clips
+        picked = np.take(pass_stack, outcomes - 1, axis=1, out=rows[:n], mode="clip")
+        dev = np.abs(np.einsum("tkl,lk->tk", picked, columns))
         violations += int(np.count_nonzero(dev > bound))
         worst = np.maximum(worst, dev.max(axis=0))
     hit = worst > 0

@@ -493,6 +493,16 @@ class TestNoKernelLayer:
         import weakdetect.qmat as qmat
         assert [name for name in vars(qmat) if not name.startswith("_")] == []
 
+    def test_import_does_not_load_numpy_random(self):
+        # numpy.random costs every fresh interpreter about 13 ms; only the
+        # commands that draw load it
+        script = "import sys\nimport weakdetect.cli\nprint('numpy.random' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "False"
+
 
 # --- the parser ---------------------------------------------------------------
 #

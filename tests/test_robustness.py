@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from weakdetect import robustness
 from weakdetect.protocol import HAMILTONIAN, NoSignalError
 from weakdetect.robustness import RankDeficientError, bound_check, perturbations
-from weakdetect.states import random_mixed, werner
+from weakdetect.states import random_mixed, random_pure, validate, werner
 
 from conftest import exact_weak_value, record, trace_norm
 
@@ -168,10 +168,33 @@ class TestBoundCheck:
         whole = bound_check(random_mixed(4), 1e-2, trials=40, seed=6)
         monkeypatch.setattr(robustness, "CHUNK", 7)
         assert bound_check(random_mixed(4), 1e-2, trials=40, seed=6) == whole
+        monkeypatch.setattr(robustness, "BLOCK", 10)
+        assert bound_check(random_mixed(4), 1e-2, trials=40, seed=6) == whole
+
+    def test_no_child_spawned_and_one_eigvalsh_per_pass(self, monkeypatch):
+        spawned, solved = [], []
+
+        class SpawnSpy(np.random.SeedSequence):
+            def spawn(self, n_children):
+                spawned.append(n_children)
+                return super().spawn(n_children)
+
+        eigvalsh = np.linalg.eigvalsh
+
+        def eigvalsh_spy(a, *args, **kwargs):
+            solved.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "SeedSequence", SpawnSpy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+        bound_check(random_mixed(4), 1e-2, trials=100, seed=6)
+        assert spawned == []
+        assert solved == [32, 32, 32, 4]
 
     def test_peak_memory_does_not_grow_with_trials(self):
-        # Child seeds are spawned one pass at a time. Spawning all of them up
-        # front holds about 370 B per trial: 0.7 MB more at 2048 trials.
+        # Child words are hashed BLOCK children (32 kB) at a time and the pass
+        # buffers are allocated once per request, so nothing held grows with
+        # the trial count.
         def peak(trials):
             tracemalloc.start()
             try:
@@ -219,6 +242,113 @@ class TestBoundCheck:
             assert report.deviations == {}
             assert report.margin == report.bound
             assert report.violations == 0
+
+
+SEEDS = [0, 1, 2**31 - 2, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5, 10**40]
+# Across the pass boundaries at 32 and the hash block boundary at 1024.
+OFFSETS = [0, 31, 32, 33, 1023, 1024, 1025]
+
+
+def numpy_words(child):
+    return child.generate_state(4, np.uint64)
+
+
+class TestChildStreams:
+    """The hashed words must be NumPy's own: what SeedSequence(seed).spawn
+    hands PCG64, child by child."""
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_words_match_spawned_children(self, seed):
+        run = robustness._run_pool(seed)
+        children = np.random.SeedSequence(seed).spawn(OFFSETS[-1] + 3)
+        streams = list(robustness._child_streams(run, OFFSETS[-1] + 3))
+        for lo in OFFSETS:
+            direct = robustness._child_words(run, lo, 3)
+            assert direct.flags.c_contiguous
+            for j in range(3):
+                expected = numpy_words(children[lo + j])
+                np.testing.assert_array_equal(direct[j], expected)
+                np.testing.assert_array_equal(streams[lo + j].generate_state(4, np.uint64),
+                                              expected)
+
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_two_word_spawn_keys(self, seed):
+        # From child 2^32 on the spawn key is two words; build each child as
+        # spawn does, from its key, rather than spawning 2^32 of them.
+        lo = 2**32 - 3
+        words = robustness._child_words(robustness._run_pool(seed), lo, 6)
+        for j in range(6):
+            child = np.random.SeedSequence(seed, spawn_key=(lo + j,))
+            np.testing.assert_array_equal(words[j], numpy_words(child))
+
+    @pytest.mark.parametrize("seed", [0, 3, 2**32])
+    def test_draws_match_default_rng(self, seed):
+        children = np.random.SeedSequence(seed).spawn(40)
+        streams = list(robustness._child_streams(robustness._run_pool(seed), 40))
+        for i in (0, 1, 31, 32, 39):
+            got = np.random.Generator(np.random.PCG64(streams[i])).standard_normal((2, 16, 16))
+            want = np.random.default_rng(children[i]).standard_normal((2, 16, 16))
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(perturbations(1e-2, streams[:5]),
+                                      perturbations(1e-2, children[:5]))
+
+    def test_child_holds_only_pcg64_words(self):
+        (child,) = robustness._child_streams(robustness._run_pool(0), 1)
+        for n_words, dtype in ((4, np.uint32), (2, np.uint64)):
+            with pytest.raises(ValueError):
+                child.generate_state(n_words, dtype)
+
+    @pytest.mark.parametrize("seed", [-1, 1.5])
+    def test_rejects_seed_numpy_rejects(self, seed):
+        with pytest.raises((TypeError, ValueError)):
+            np.random.SeedSequence(seed)
+        with pytest.raises((TypeError, ValueError)):
+            bound_check(werner(0.5), 1e-2, trials=0, seed=seed)
+
+
+def near_rank_deficient(amplitudes, t, seed):
+    """A pure state mixed with weight t of a Ginibre state: full rank, with
+    three eigenvalues of order t."""
+    amplitudes = np.asarray(amplitudes) / np.linalg.norm(amplitudes)
+    pure = np.outer(amplitudes, amplitudes.conj())
+    return validate((1 - t) * pure + t * random_mixed(seed).matrix)
+
+
+def haar_amplitudes(seed):
+    psi = random_pure(seed)
+    return [psi.a, psi.b, psi.c, psi.d]
+
+
+SUPREMUM_STATES = (
+    [random_mixed(s) for s in range(4)]
+    + [near_rank_deficient(haar_amplitudes(s), t, s + 100) for s in range(3) for t in (1e-2, 1e-4)]
+    # one diagonal about 1.5e-4: J_kk goes down to 2e-8 and delta/m up to 5e5
+    + [near_rank_deficient([1, 1j, -1, 2e-2], 1e-4, 7)]
+    + [werner(p) for p in (0.1, 1 / 3, 0.5, 0.9)]
+)
+
+
+class TestClosedFormSupremum:
+    """The worst deviation of outcome k over every Hermitian P with
+    ||P||_1 = delta is delta (1 + ||c_k||) / 2, with c_k = J e_k / J_kk and
+    J = rho x rho, attained at delta |e><e|, e ~ e_k + c_k / ||c_k||."""
+
+    @pytest.mark.parametrize("rho", SUPREMUM_STATES)
+    def test_sampled_deviations_within_supremum_within_bound(self, rho):
+        delta = 1e-2
+        report = bound_check(rho, delta, trials=200, seed=5)
+        joint = np.kron(rho.matrix, rho.matrix)
+        _, _, _, defined, _ = record(rho)
+        for k in np.flatnonzero(defined) + 1:
+            c = joint[:, k - 1] / joint[k - 1, k - 1]
+            supremum = delta * (1 + np.linalg.norm(c)) / 2
+            assert report.deviations.get(k, 0.0) <= supremum * (1 + 1e-12)
+            assert supremum <= report.bound
+            e = np.eye(16)[k - 1] + c / np.linalg.norm(c)
+            e /= np.linalg.norm(e)
+            worst = delta * np.outer(e, e.conj())
+            assert trace_norm(worst) == pytest.approx(delta, rel=1e-12)
+            assert abs(exact_weak_value(rho, worst, k)) == pytest.approx(supremum, rel=1e-12)
 
 
 class TestCouplingMiscalibration:
