@@ -245,10 +245,13 @@ def cmd_benchmark(cfg: argparse.Namespace):
     rng = np.random.default_rng(cfg.seed)
     tau = _tau_det(cfg)
     n = cfg.trials
-    verdict = np.empty(n, dtype=bool)
-    oracle = np.empty(n, dtype=bool)
-    path = np.empty(n, dtype=int)
-    distance = np.empty(n)
+    try:
+        verdict = np.empty(n, dtype=bool)
+        oracle = np.empty(n, dtype=bool)
+        path = np.empty(n, dtype=int)
+        distance = np.empty(n)
+    except (MemoryError, ValueError) as exc:  # numpy refuses the size before touching memory
+        raise _UsageError(f"--trials {n} is too large: {exc}") from exc
     for lo in range(0, n, BENCHMARK_CHUNK):
         hi = min(lo + BENCHMARK_CHUNK, n)
         stack = states.random_mixed_batch(rng, hi - lo)
@@ -277,6 +280,8 @@ def cmd_benchmark(cfg: argparse.Namespace):
             "mean_trace_distance": float(sum(distances) / n) if n else 0.0,
         },
     }
+    if cfg.output != "csv":  # only the csv rendering reads the per-trial rows
+        return doc, None, EXIT_OK
     rows = list(zip(range(n), np.where(verdict, "Entangled", "Separable").tolist(),
                     np.where(oracle, "Entangled", "Separable").tolist(),
                     (verdict == oracle).astype(int).tolist(), distances))

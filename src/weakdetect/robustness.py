@@ -4,9 +4,20 @@ If the interaction generator H is replaced by H_e with ||H - H_e||_1 <= delta,
 every measured weak value moves by at most delta/m, where m is the minimum of
 the pairwise products {p,q,r,s} x {p,q,r,s} = (min diagonal)^2. This module
 checks the bound on random perturbations P = H - H_e of trace norm delta.
-The weak value at outcome k moves by <u_k|P (rho x rho)|u_k> / <u_k|rho x rho|u_k>,
-so the trials run in stacked passes: one batched eigvalsh rescales CHUNK draws
-and one contraction with rho x rho gives all their deviations. Trial i draws
+The weak value at outcome k moves by <u_k|P (rho x rho)|u_k> / <u_k|rho x rho|u_k>
+= <e_k|P|c_k>, with c_k the k-th column of rho x rho over its diagonal entry.
+A trial draws a Hermitian H_t and sets P = delta H_t / ||H_t||_1, so its
+deviation delta |<e_k|H_t|c_k>| / ||H_t||_1 is linear in H_t but for the
+trace norm, and only the largest deviation per outcome is reported.
+
+The trials run in stacked passes of CHUNK. One einsum gives every overlap
+|<e_k|H_t|c_k>|, and the trace norms are bounded from both sides without an
+eigen-solve (_trace_norm_bounds). A trial whose deviations are all bounded
+from above below delta/m, and below the larger of the running worst and the
+best bound from below in its pass, can neither set a reported maximum nor
+violate the bound. One batched eigvalsh rescales only the other trials,
+which are then contracted with rho x rho as every trial was before the
+screen, so reports are bit-identical to solving every trial. Trial i draws
 from child i of SeedSequence(seed), whatever the stacking or trial count.
 
 A child's stream is fixed by the four uint64 words it hands PCG64, so no
@@ -29,11 +40,19 @@ import numpy as np
 from .protocol import TAU_DIAG, weak_values_batch
 from .states import TwoQubitState
 
-# Trials per stacked pass. A request holds four pass buffers of 4 kB per
+# Trials per stacked pass. A request holds five pass buffers of 4 kB per
 # trial, so at 32 the peak resident set stays at that of a per-trial loop.
+# The screen runs pass by pass: the worst deviation solved in earlier passes
+# sharpens the cut of later ones, and eigvalsh runs on the trials left.
 CHUNK = 32
 # Children whose PCG64 words are hashed together: 32 kB of words.
 BLOCK = 1024
+# Roundoff widening of bound_check's screen: 64 units of roundoff u = 2^-53
+# on each overlap, a relative slack on each trace-norm bound, and one
+# smallest normal number per unit of the factors for subnormal products.
+_GAMMA = 64 * 2.0**-53
+_SLACK = 1e-9
+_TINY = np.finfo(float).tiny
 
 # numpy.random.SeedSequence's hash constants; every product is mod 2^32.
 _M32 = 0xFFFFFFFF
@@ -189,30 +208,57 @@ def _child_streams(run: tuple[list[int], int], count: int):
         yield from map(child, _child_words(run, lo, min(BLOCK, count - lo)))
 
 
-def _perturb(delta: float, streams, draws: np.ndarray, herm: np.ndarray,
-             stack: np.ndarray) -> np.ndarray:
-    """Fill draws[i] from stream i and return stack[:n] for n streams: the
-    Hermitian parts rescaled to trace norm ``delta``.
+def _hermitian(streams, draws: np.ndarray, herm: np.ndarray, scratch: np.ndarray) -> np.ndarray:
+    """Fill draws[i] from stream i and return herm[:n] for n streams: the
+    Hermitian parts (g + g^H) / 2 of g = real + 1j * imag.
 
-    The buffers hold at least n trials and are reused from pass to pass.
-    Each step is the ufunc that ``(g + g^H) / 2 * (delta / norms)`` calls,
-    with g = real + 1j * imag, so the bits are the same. Operands are cast,
-    transposed and broadcast by copies first: a ufunc that does so itself
-    fills 8192-element buffers, 128 KiB of complex, at glibc's mmap threshold.
+    The buffers hold at least n trials and are reused from pass to pass;
+    ``scratch`` is overwritten. Each step is the ufunc that the expression
+    calls, so the bits are the same. Operands are cast, transposed and
+    broadcast by copies first: a ufunc that does so itself fills
+    8192-element buffers, 128 KiB of complex, at glibc's mmap threshold.
     """
     n = 0
     for n, stream in enumerate(streams, 1):
         np.random.Generator(np.random.PCG64(stream)).standard_normal(out=draws[n - 1])
-    draws, herm, stack = draws[:n], herm[:n], stack[:n]
+    draws, herm, scratch = draws[:n], herm[:n], scratch[:n]
     np.copyto(herm, draws[:, 1])
     np.multiply(1j, herm, out=herm)
-    np.copyto(stack, draws[:, 0])
-    np.add(stack, herm, out=herm)
-    np.copyto(stack, herm.swapaxes(1, 2))
-    np.add(herm, np.conjugate(stack, out=stack), out=herm)
-    np.divide(herm, 2, out=herm)
-    np.copyto(stack, (delta / np.abs(np.linalg.eigvalsh(herm)).sum(axis=1))[:, None, None])
-    return np.multiply(herm, stack, out=stack)
+    np.copyto(scratch, draws[:, 0])
+    np.add(scratch, herm, out=herm)
+    np.copyto(scratch, herm.swapaxes(1, 2))
+    np.add(herm, np.conjugate(scratch, out=scratch), out=herm)
+    return np.divide(herm, 2, out=herm)
+
+
+def _scale(delta: float, herm: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """out[:n] = herm * (delta / ||herm||_1), per matrix of the n in herm:
+    one batched eigvalsh finds the trace norms."""
+    out = out[:len(herm)]
+    np.copyto(out, (delta / np.abs(np.linalg.eigvalsh(herm)).sum(axis=1))[:, None, None])
+    return np.multiply(herm, out, out=out)
+
+
+def _trace_norm_bounds(herm: np.ndarray, square: np.ndarray):
+    """Row norms ||h_j|| (n, 16) and bounds L <= ||H||_1 <= U (n,) of the
+    n Hermitian matrices in ``herm``, with no eigen-solve; ``square`` is a
+    buffer that receives H^2.
+
+    With eigenvalues l_j, ||H||_F^2 = sum l_j^2 and ||H^2||_F^2 = sum l_j^4.
+    Hoelder with exponents 3/2 and 3 on sum |l|^(2/3) |l|^(4/3) gives
+    sum l^2 <= (sum |l|)^(2/3) (sum l^4)^(1/3), so L = ||H||_F^3 / ||H^2||_F.
+    By duality ||H||_1 = max |tr(W H)| over unitary W, and the rows of W are
+    unit vectors, so ||H||_1 <= sum_j ||h_j||; Cauchy-Schwarz over the 16
+    eigenvalues gives ||H||_1 <= 4 ||H||_F. U is the smaller of the two.
+    """
+    flat = herm.view(float)
+    rows2 = np.einsum("tij,tij->ti", flat, flat)
+    frob2 = rows2.sum(axis=1)
+    flat = np.matmul(herm, herm, out=square[:len(herm)]).view(float)
+    rownorms = np.sqrt(rows2)
+    lower = np.sqrt(frob2 ** 3 / np.einsum("tij,tij->t", flat, flat))
+    upper = np.minimum(4 * np.sqrt(frob2), rownorms.sum(axis=1))
+    return rownorms, lower, upper
 
 
 def perturbations(delta: float, streams) -> np.ndarray:
@@ -222,8 +268,9 @@ def perturbations(delta: float, streams) -> np.ndarray:
     _check_delta(delta)
     streams = list(streams)
     n = len(streams)
-    return _perturb(delta, streams, np.empty((n, 2, 16, 16)),
-                    np.empty((n, 16, 16), complex), np.empty((n, 16, 16), complex))
+    stack = np.empty((n, 16, 16), complex)
+    herm = _hermitian(streams, np.empty((n, 2, 16, 16)), np.empty((n, 16, 16), complex), stack)
+    return _scale(delta, herm, stack)
 
 
 def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> RobustnessReport:
@@ -232,6 +279,21 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
 
     Requires all diagonals above TAU_DIAG (otherwise m = 0 and the bound is
     vacuous). ``deviations`` keeps outcomes whose worst deviation is above 0.
+
+    Each pass screens its trials before any eigen-solve. With overlap
+    a = |<e_k|H_t|c_k>| and L <= ||H_t||_1 <= U, the deviation lies between
+    a delta / U and a delta / L. Both are widened for roundoff so that they
+    bracket the computed deviation, not only the exact one: a moves by
+    _GAMMA ||h_k|| ||c_k|| (Cauchy-Schwarz on the 16-term sums of the screen
+    and of the exact path, each within about 20u of sum |h_kl c_l|), delta/L
+    and delta/U by the relative _SLACK (far above the eigvalsh error in the
+    trace norm), and both by _TINY per unit of (1 + ||h_k||)(1 + ||c_k||),
+    which covers subnormal products. A trial is solved when some outcome's
+    bound from above reaches the smaller of delta/m and the larger of the
+    running worst and the pass's best bound from below. Any other trial's
+    deviation lies below a deviation that is solved, and below delta/m, so
+    ``deviations``, ``margin`` and ``violations`` are those of solving every
+    trial, bit for bit.
     """
     _check_delta(delta)
     if trials < 0:
@@ -250,19 +312,34 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
 
     _, probabilities, _, signal, _ = (a[0] for a in weak_values_batch(rho.matrix[None]))
     joint = np.kron(rho.matrix, rho.matrix)
-    outcomes = np.flatnonzero(signal) + 1
+    outcome_rows = np.flatnonzero(signal)
     columns = joint[:, signal] / probabilities[signal]
-    worst = np.zeros(np.count_nonzero(signal))
+    column_norms = np.linalg.norm(columns, axis=0)
+    worst = np.zeros(len(outcome_rows))
     violations = 0
     streams = _child_streams(run, trials)
     draws = np.empty((CHUNK, 2, 16, 16))
-    herm, stack = np.empty((2, CHUNK, 16, 16), complex)
-    rows = np.empty((CHUNK, len(outcomes), 16), complex)
+    herm, chosen, stack = np.empty((3, CHUNK, 16, 16), complex)
+    rows = np.empty((CHUNK, len(outcome_rows), 16), complex)
     for lo in range(0, trials, CHUNK):
         n = min(CHUNK, trials - lo)
-        pass_stack = _perturb(delta, itertools.islice(streams, n), draws, herm, stack)
+        part = _hermitian(itertools.islice(streams, n), draws, herm, stack)
         # mode="clip" lets take write into ``rows`` without a copy; no index clips
-        picked = np.take(pass_stack, outcomes - 1, axis=1, out=rows[:n], mode="clip")
+        picked = np.take(part, outcome_rows, axis=1, out=rows[:n], mode="clip")
+        overlap = np.abs(np.einsum("tkl,lk->tk", picked, columns))
+        rownorms, lower, upper = _trace_norm_bounds(part, stack)
+        rownorms = rownorms[:, outcome_rows]
+        slack = _GAMMA * rownorms * column_norms
+        underflow = _TINY * (1 + rownorms) * (1 + column_norms)
+        high = (overlap + slack) * (delta / lower * (1 + _SLACK))[:, None] + underflow
+        low = (overlap - slack) * (delta / upper * (1 - _SLACK))[:, None] - underflow
+        cut = np.minimum(np.maximum(worst, low.max(axis=0)), bound)
+        solve = np.flatnonzero((high >= cut).any(axis=1))
+        if not solve.size:
+            continue
+        part = np.take(part, solve, axis=0, out=chosen[:solve.size], mode="clip")
+        picked = np.take(_scale(delta, part, stack), outcome_rows, axis=1,
+                         out=rows[:solve.size], mode="clip")
         dev = np.abs(np.einsum("tkl,lk->tk", picked, columns))
         violations += int(np.count_nonzero(dev > bound))
         worst = np.maximum(worst, dev.max(axis=0))
@@ -272,7 +349,7 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
         m=m,
         bound=bound,
         trials=trials,
-        deviations=dict(zip(outcomes[hit].tolist(), worst[hit].tolist())),
+        deviations=dict(zip((outcome_rows[hit] + 1).tolist(), worst[hit].tolist())),
         margin=float(np.min(bound - worst[hit])) if hit.any() else bound,
         violations=violations,
     )

@@ -67,6 +67,9 @@ BAD_NUMERIC_ARGVS = [
     ["benchmark", "--tol-det", "nan"],
     ["benchmark", "--tol-det", "-1"],
     ["benchmark", "--seed", "-1"],
+    # more trials than numpy can allocate, and more than an array dimension holds
+    ["benchmark", "--trials", str(10**16)],
+    ["benchmark", "--trials", str(10**21)],
     ["robustness", "--seed", "-1"],
 ]
 

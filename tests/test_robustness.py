@@ -187,9 +187,14 @@ class TestBoundCheck:
 
         monkeypatch.setattr(np.random, "SeedSequence", SpawnSpy)
         monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
-        bound_check(random_mixed(4), 1e-2, trials=100, seed=6)
+        trials = 1000
+        bound_check(random_mixed(4), 1e-2, trials=trials, seed=6)
         assert spawned == []
-        assert solved == [32, 32, 32, 4]
+        # at most one solve per pass, each on at most one pass of rows
+        assert len(solved) <= -(-trials // robustness.CHUNK)
+        assert all(0 < n <= robustness.CHUNK for n in solved)
+        # the trace-norm screen leaves about a quarter of the trials to solve
+        assert sum(solved) <= 0.4 * trials
 
     def test_peak_memory_does_not_grow_with_trials(self):
         # Child words are hashed BLOCK children (32 kB) at a time and the pass
@@ -349,6 +354,97 @@ class TestClosedFormSupremum:
             worst = delta * np.outer(e, e.conj())
             assert trace_norm(worst) == pytest.approx(delta, rel=1e-12)
             assert abs(exact_weak_value(rho, worst, k)) == pytest.approx(supremum, rel=1e-12)
+
+
+def unscreened_bound_check(rho, delta, trials, seed):
+    """``bound_check`` with every trial solved: the whole stack from
+    ``perturbations``, then the same gather and einsum as the exact path."""
+    _, probabilities, _, signal, _ = record(rho)
+    joint = np.kron(rho.matrix, rho.matrix)
+    columns = joint[:, signal] / probabilities[signal]
+    stack = perturbations(delta, np.random.SeedSequence(seed).spawn(trials))
+    dev = np.abs(np.einsum("tkl,lk->tk", stack[:, signal], columns))
+    m = min(rho.diagonal()) ** 2
+    bound = delta / m
+    worst = dev.max(axis=0, initial=0.0)
+    hit = worst > 0
+    return robustness.RobustnessReport(
+        delta=delta, m=m, bound=bound, trials=trials,
+        deviations=dict(zip((np.flatnonzero(signal)[hit] + 1).tolist(), worst[hit].tolist())),
+        margin=float(np.min(bound - worst[hit])) if hit.any() else bound,
+        violations=int(np.count_nonzero(dev > bound)),
+    )
+
+
+def largest_delta(rho):
+    """The largest delta whose bound delta/m is still finite."""
+    m = min(rho.diagonal()) ** 2
+    delta = float(np.finfo(float).max) * m
+    while not delta / m < np.inf:
+        delta = float(np.nextafter(delta, 0.0))
+    return delta
+
+
+SCREEN_STATES = {
+    "ginibre": random_mixed(21),
+    "werner": werner(0.5),
+    # every outcome's column is e_k: ties between outcomes
+    "maximally-mixed": validate(np.eye(4) / 4),
+    "near-rank-deficient": near_rank_deficient(haar_amplitudes(2), 1e-4, 102),
+    "small-diagonal": near_rank_deficient([1, 1j, -1, 2e-2], 1e-4, 7),
+}
+
+
+class TestTraceNormScreen:
+    """The screen skips eigvalsh only on trials that cannot change the
+    report, so reports equal those of solving every trial, bit for bit."""
+
+    @pytest.mark.parametrize("name", SCREEN_STATES)
+    @pytest.mark.parametrize("delta", [0.0, 1e-3, 1e-1, "largest"])
+    @pytest.mark.parametrize("trials", [0, 1, 31, 32, 33, 1000])
+    def test_report_equals_every_trial_solved(self, name, delta, trials):
+        rho = SCREEN_STATES[name]
+        delta = largest_delta(rho) if delta == "largest" else delta
+        seed = trials + 11
+        assert bound_check(rho, delta, trials, seed) == unscreened_bound_check(rho, delta, trials, seed)
+
+    def test_largest_delta_is_accepted_and_next_refused(self):
+        rho = SCREEN_STATES["small-diagonal"]
+        delta = largest_delta(rho)
+        assert bound_check(rho, delta, 1, 0).bound < np.inf
+        with pytest.raises(ValueError):
+            bound_check(rho, float(np.nextafter(delta, np.inf)), 1, 0)
+
+    @pytest.mark.parametrize("family", ["random", "rank-1", "diagonal", "symmetric-spectrum"])
+    def test_bounds_bracket_the_trace_norm(self, family):
+        rng = np.random.default_rng(3)
+        n = 64
+        g = rng.standard_normal((n, 16, 16)) + 1j * rng.standard_normal((n, 16, 16))
+        unitaries = np.linalg.qr(g)[0]
+        scales = 10.0 ** rng.uniform(-3, 3, (n, 1))
+        if family == "random":
+            herm = (g + g.conj().swapaxes(1, 2)) / 2
+        else:
+            spectra = {
+                "rank-1": np.eye(16)[[0] * n] * rng.standard_normal((n, 1)),
+                "diagonal": rng.standard_normal((n, 16)),
+                "symmetric-spectrum": np.repeat([1.0, -1.0], 8) * rng.uniform(0.5, 2, (n, 1)),
+            }[family] * scales
+            if family == "diagonal":
+                herm = np.zeros((n, 16, 16), complex)
+                herm[:, np.arange(16), np.arange(16)] = spectra
+            else:
+                herm = (unitaries * spectra[:, None, :]) @ unitaries.conj().swapaxes(1, 2)
+        herm = np.ascontiguousarray(herm, complex)
+        rownorms, lower, upper = robustness._trace_norm_bounds(herm, np.empty_like(herm))
+        norm = np.abs(np.linalg.eigvalsh(herm)).sum(axis=1)
+        np.testing.assert_allclose(rownorms, np.linalg.norm(herm, axis=2), rtol=1e-14)
+        assert np.all(lower <= norm * (1 + robustness._SLACK))
+        assert np.all(norm <= upper * (1 + robustness._SLACK))
+        if family == "symmetric-spectrum":
+            # |l| constant: L = ||H||_1 = 4 ||H||_F, so both bounds are tight
+            np.testing.assert_allclose(lower, norm, rtol=1e-12)
+            np.testing.assert_allclose(upper, norm, rtol=1e-12)
 
 
 class TestCouplingMiscalibration:
