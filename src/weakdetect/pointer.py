@@ -1,19 +1,21 @@
 """Gaussian-pointer readout of weak values.
 
-A 1-d pointer prepared in a Gaussian is coupled to the two-copy system by
-exp(-i epsilon H (x) P), then the system is post-selected in the
-computational basis. The surviving pointer's mean position and momentum
-shifts encode the real and imaginary parts of the weak value:
+A 1-d pointer prepared in a Gaussian of position spread sigma is coupled to
+the two-copy system by exp(-i epsilon H (x) P), then the system is
+post-selected in the computational basis. The surviving pointer's mean
+position and momentum shifts encode the real and imaginary parts of the
+weak value (Aharonov, Albert & Vaidman, PRL 60, 1351, 1988; Jozsa, PRA 76,
+044103, 2007). The input pointer sits at <x>_in = <p>_in = 0, so
 
-    Re A = (  <x>_post - <x>_in) / epsilon
-    Im A = (  <p>_post - <p>_in) / (2 epsilon Var_in(p)),  Var_in(p) = 1/(4 sigma^2)
+    Re A = <x>_post / epsilon
+    Im A = <p>_post / (2 epsilon Var_in(p)),  Var_in(p) = 1/(4 sigma^2)
 
 The evolution is exact, not first order, and needs no state decomposition.
-H squares to the identity, so the coupling translates the pointer by
+H squares to the identity, so the coupling shifts the pointer by
 +epsilon on H's +1 eigenspace and by -epsilon on its -1 eigenspace. A system
 branch psi post-selected on outcome k = j + 1 leaves the pointer
 psi[j] phi_s + psi[pi(j)] phi_d, where phi_s and phi_d are half the sum and
-half the difference of the two translated Gaussians and pi = PERM. Over
+half the difference of the two shifted Gaussians and pi = PERM. Over
 the mixed two-copy state J = rho x rho the post-selected pointer is
 therefore the 2x2 mixture
 
@@ -23,30 +25,33 @@ with P = J[j, j], N = J[pi(j), j] and Q = J[pi(j), pi(j)]. These come
 from the caller's post-selection record, protocol.weak_values_batch, passed
 in as (flipped, probabilities) with the record's defined mask; the layer
 never reads rho itself. Each moment sum is the contraction of these four
-coefficients with the overlaps <phi_b|O|phi_a> for O = 1, x, x^2, p, p^2,
-a table built once per (grid, sigma, epsilon) and process. The translation
-is spectral (multiplication by exp(-i epsilon p) in the Fourier domain,
-exact for waves with negligible boundary tails) and momentum moments are
-sums over the FFT grid.
+coefficients with the overlaps <phi_b|O|phi_a> for O = 1, x, x^2, p, p^2.
+For Gaussians shifted by a (bra) and b (ket), with s2 = sigma^2,
+g = exp(-(a - b)^2 / (8 s2)), m = (a + b) / 2 and k = (a - b) / (4 s2):
+
+    <1> = g,  <x> = g m,  <x^2> = g (m^2 + s2),  <p> = i g k,  <p^2> = g (1/(4 s2) - k^2).
+
 hbar = 1 throughout.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
 from .protocol import PERM, TAU_DEN
 
 
+# The largest grid the flags accept (README's input contract).
 MAX_GRID_N = 2**20
 
 
 def _check_square(name: str, value: float) -> None:
-    # The overlap table squares the largest position, the largest momentum,
-    # the spacing and sigma; each square must be a finite, non-zero float.
+    # Input contract of --sigma and --grid-l: the squares of sigma, the
+    # half-extent, the spacing and the momentum cutoff must each be a
+    # finite, non-zero float.
     if not 0.0 < value * value < np.inf:
         raise ValueError(f"{name} {value!r} is out of range: its square must be "
                          "finite and non-zero")
@@ -54,7 +59,9 @@ def _check_square(name: str, value: float) -> None:
 
 @dataclass(frozen=True)
 class PointerGrid:
-    """Uniform position grid x_j = -L + j dx, j = 0..n-1, dx = 2L/n."""
+    """The grid x_j = -L + j dx, j = 0..n-1, dx = 2L/n, named by the
+    ``--grid-n`` and ``--grid-l`` flags. The readout is closed-form and
+    builds no grid; the grid bounds the inputs the readout accepts."""
 
     n: int
     half_extent: float
@@ -62,8 +69,6 @@ class PointerGrid:
     def __post_init__(self) -> None:
         if self.n < 256 or (self.n & (self.n - 1)) != 0:
             raise ValueError(f"grid size must be a power of two >= 256, got {self.n}")
-        # Checked here, before any array is allocated: at 2**20 points the
-        # overlap table's temporaries already peak near 250 MB.
         if self.n > MAX_GRID_N:
             raise ValueError(f"grid size must be at most {MAX_GRID_N}, got {self.n}")
         if not self.half_extent > 0:
@@ -71,7 +76,7 @@ class PointerGrid:
         _check_square("grid half-extent", self.half_extent)
         _check_square("grid spacing", self.dx)
         _check_square("grid momentum cutoff pi/dx", np.pi / self.dx)
-        # The table weighs x^2 by dx, so that product must be finite too.
+        # Input contract: the position weight L^2 dx must be finite too.
         if not self.half_extent * self.half_extent * self.dx < np.inf:
             raise ValueError(f"grid half-extent {self.half_extent!r} is out of range: "
                              "the position weight L^2 dx overflows")
@@ -79,14 +84,6 @@ class PointerGrid:
     @property
     def dx(self) -> float:
         return 2.0 * self.half_extent / self.n
-
-    @property
-    def positions(self) -> np.ndarray:
-        return -self.half_extent + self.dx * np.arange(self.n)
-
-    @property
-    def momenta(self) -> np.ndarray:
-        return 2.0 * np.pi * np.fft.fftfreq(self.n, d=self.dx)
 
 
 @dataclass(frozen=True)
@@ -126,52 +123,29 @@ def default_config(epsilon: float = 1e-3, sigma: float = 1.0) -> SimConfig:
     return SimConfig(epsilon=epsilon, sigma=sigma, grid=PointerGrid(n=4096, half_extent=40.0))
 
 
-def gaussian_pointer(sigma: float, grid: PointerGrid) -> np.ndarray:
-    """Gaussian exp(-x^2/(4 sigma^2)) normalized on the grid (Var(x) = sigma^2)."""
-    x = grid.positions
-    amp = np.exp(-(x**2) / (4.0 * sigma**2)).astype(complex)
-    amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * grid.dx)
-    return amp
+def pointer_overlaps(cfg: SimConfig) -> np.ndarray:
+    """The (2, 2, 5) table <phi_b|O|phi_a> for phi_a, phi_b in
+    (phi_s, phi_d) and O = 1, x, x^2, p, p^2, from the closed forms of the
+    module docstring.
 
-
-def translate(wave: np.ndarray, grid: PointerGrid, delta: float) -> np.ndarray:
-    """Shift the wave by delta via the Fourier domain (exact for clean tails)."""
-    return np.fft.ifft(np.fft.fft(wave) * np.exp(-1j * grid.momenta * delta))
-
-
-# One entry is under 1 kB. A run that cycles through more configs than the
-# cache holds would miss on every call, so the bound leaves room for a sweep
-# over a few grids, sigmas and epsilons (pointer-sim asks for epsilon and
-# epsilon / 2).
-@lru_cache(maxsize=64)
-def pointer_overlaps(cfg: SimConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Overlaps of the post-selected pointer's basis, and the input pointer's moments.
-
-    Returns the (2, 2, 5) table <phi_b|O|phi_a> for phi_a, phi_b in
-    (phi_s, phi_d) (see the module docstring) and O = 1, x, x^2, p, p^2, and
-    the (5,) row <phi|O|phi> of the input Gaussian itself. Momentum terms are
-    sums over the FFT grid.
-
-    The pair is built once per config and process and shared between
-    callers, so both arrays are read-only.
+    Each entry is the 1/2 (+-) combination of the four overlaps between the
+    Gaussians shifted by +epsilon and -epsilon: on the diagonal the rows
+    (1, +-epsilon, epsilon^2 + s2, 0, 1/(4 s2)), off it
+    (g, 0, g s2, +-i g k, g (1/(4 s2) - k^2)). 1 - g comes from expm1, so
+    phi_d's rows keep their relative precision as epsilon / sigma -> 0. At
+    epsilon = 0 the (phi_s, phi_s) row is the input pointer's own,
+    (1, 0, s2, 0, 1/(4 s2)).
     """
-    grid = cfg.grid
-    phi_in = gaussian_pointer(cfg.sigma, grid)
-    plus = translate(phi_in, grid, +cfg.epsilon)
-    minus = translate(phi_in, grid, -cfg.epsilon)
-    waves = np.stack([(plus + minus) / 2, (plus - minus) / 2, phi_in])
-    x, p = grid.positions, grid.momenta
-    position = np.einsum("bj,mj,aj->abm", waves.conj(),
-                         np.stack([np.ones_like(x), x, x**2]) * grid.dx, waves)
-    spectra = np.fft.fft(waves, axis=1)
-    dp = 2.0 * np.pi / (grid.n * grid.dx)
-    momentum = np.einsum("bj,mj,aj->abm", spectra.conj(),
-                         np.stack([p, p**2]) * (grid.dx**2 / (2.0 * np.pi) * dp), spectra)
-    table = np.concatenate([position, momentum], axis=2)
-    overlaps, reference = table[:2, :2].copy(), table[2, 2].real.copy()
-    overlaps.setflags(write=False)
-    reference.setflags(write=False)
-    return overlaps, reference
+    eps, s2 = cfg.epsilon, cfg.sigma * cfg.sigma
+    q, k = 0.25 / s2, eps / (2.0 * s2)
+    g, h = math.exp(-eps * k), -math.expm1(-eps * k)  # g = exp(-eps^2 / (2 s2)), h = 1 - g
+    ip = 0.5j * g * k
+    return np.array([
+        [[(1 + g) / 2, 0, (eps * eps + (1 + g) * s2) / 2, 0, ((1 + g) * q - g * k * k) / 2],
+         [0, eps / 2, 0, ip, 0]],
+        [[0, eps / 2, 0, -ip, 0],
+         [h / 2, 0, (eps * eps + h * s2) / 2, 0, (h * q + g * k * k) / 2]],
+    ])
 
 
 def moment_table(flipped: np.ndarray, probabilities: np.ndarray,
@@ -182,7 +156,7 @@ def moment_table(flipped: np.ndarray, probabilities: np.ndarray,
 
     ``flipped`` and ``probabilities`` are one state's row of the record of
     :func:`protocol.weak_values_batch`, J[PERM[j], j] and J[j, j]. ``overlaps``
-    is the first table of :func:`pointer_overlaps`. Every row, silent
+    is the table of :func:`pointer_overlaps`. Every row, silent
     outcomes included, contracts it with the 2x2 coefficients of the module
     docstring.
     """
@@ -202,18 +176,15 @@ def estimate_weak_values(flipped: np.ndarray, probabilities: np.ndarray, defined
     outcomes pick up O(epsilon^2) probability from the exact evolution
     without carrying one) and its post-interaction probability is at least
     TAU_DEN. Each estimate is the mean position and momentum shift of the
-    post-selected pointer from the input pointer's moments (see
-    :func:`pointer_overlaps`).
+    post-selected pointer (see the module docstring).
     """
     if not cfg.epsilon > 0:
         raise ValueError("readout needs epsilon > 0")
-    overlaps, reference = pointer_overlaps(cfg)
-    sums = moment_table(flipped, probabilities, overlaps)
+    sums = moment_table(flipped, probabilities, pointer_overlaps(cfg))
     read = defined & (sums[:, 0] >= TAU_DEN)
     rows = sums[read]
-    var_p_in = 1.0 / (4.0 * cfg.sigma**2)
-    real = (rows[:, 1] / rows[:, 0] - reference[1]) / cfg.epsilon
-    imag = (rows[:, 3] / rows[:, 0] - reference[3]) / (2.0 * cfg.epsilon * var_p_in)
+    real = rows[:, 1] / (rows[:, 0] * cfg.epsilon)
+    imag = 2.0 * cfg.sigma**2 * rows[:, 3] / (rows[:, 0] * cfg.epsilon)
     estimates = np.zeros(16, dtype=complex)
     estimates[read] = real + 1j * imag
     return read, estimates, np.clip(sums[:, 0], 0.0, 1.0)

@@ -304,7 +304,7 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
         raise RankDeficientError(f"diagonal {diag} has a vanishing entry; "
                                  "delta/m bound undefined")
     m = dmin * dmin
-    bound = delta / m
+    bound = float(delta) / m  # a Python float: overflow gives inf, not a warning
     if not bound < np.inf:
         raise ValueError(f"delta {delta!r} is too large: the bound delta/m "
                          f"with m = {m!r} is not finite")

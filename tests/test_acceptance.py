@@ -151,7 +151,7 @@ def test_criterion_06_pointer_convergence():
     rng = np.random.default_rng(6)
     cfg_full = default_config(1e-3)
     cfg_half = default_config(5e-4)
-    overlaps_zero = pointer_overlaps(default_config(0.0))[0]
+    overlaps_zero = pointer_overlaps(default_config(0.0))
     worst_err = 0.0
     ratios = []
     for _ in range(50):

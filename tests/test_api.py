@@ -10,9 +10,10 @@ PUBLIC = {
 }
 
 # One-state twins of the batch functions, functions only the tests called,
-# the pointer layer's wrappers, the second gather of the post-selection
-# record and the outcome tables that ELEMENT_OUTCOME replaced; the
-# references and test helpers among them live in conftest.
+# the pointer layer's wrappers and grid helpers, the second gather of the
+# post-selection record and the outcome tables that ELEMENT_OUTCOME
+# replaced; the references and test helpers among them live in conftest
+# and test_pointer.
 REMOVED = {
     protocol: ("WeakValueSet", "weak_values_all", "diagonals_from_postselection", "reconstruct",
                "build_hamiltonian", "build_local_hamiltonian", "exact_weak_value",
@@ -22,7 +23,7 @@ REMOVED = {
              "amplitudes_to_json_dict"),
     circuit: ("format_circuit", "CircuitSpec"),
     pointer: ("PointerWave", "default_grid", "_overlap_table", "joint_entries", "WeakReadout",
-              "readout_weak_value"),
+              "readout_weak_value", "gaussian_pointer", "translate"),
 }
 
 

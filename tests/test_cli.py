@@ -13,7 +13,9 @@ import weakdetect.cli as cli
 from weakdetect import protocol
 from weakdetect.cli import main
 from weakdetect.protocol import TAU_DIAG
-from weakdetect.states import bell_phi_plus, ppt_oracle, state_to_json_dict, validate, werner
+from weakdetect.states import (
+    bell_phi_plus, ppt_oracle, random_mixed, state_to_json_dict, validate, werner,
+)
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -225,6 +227,15 @@ class TestPointerSim:
                                     "--grid-n", "1024", "--grid-l", "20.0"])
         assert code == 0
         assert len(calls) == 1
+
+    @pytest.mark.parametrize("sigma", [1e10, 1e12, 1e14])
+    def test_wide_pointer_reads_within_5_eps(self, capsys, tmp_path, sigma):
+        path = tmp_path / "ginibre.json"
+        path.write_text(json.dumps(state_to_json_dict(random_mixed(5))))
+        code, out = run_main(capsys, ["pointer-sim", "--input", str(path), "--epsilon", "1e-3",
+                                      "--sigma", repr(sigma), "--grid-l", repr(40 * sigma)])
+        assert code == 0
+        assert json.loads(out)["max_abs_error"] <= 5e-3
 
 
 class TestCircuitVerify:
@@ -505,6 +516,21 @@ class TestNoKernelLayer:
                              env=env, timeout=120)
         assert run.returncode == 0, run.stderr
         assert run.stdout.splitlines()[-1] == "False"
+
+    def test_pointer_sim_does_not_load_numpy_fft(self, werner_file):
+        # numpy loads numpy.fft lazily, at about 1 ms; the overlap table is
+        # closed-form, so no command needs it
+        script = "\n".join([
+            "import sys",
+            "from weakdetect.cli import main",
+            f"code = main(['pointer-sim', '--input', {werner_file!r}])",
+            "print(code, 'numpy.fft' in sys.modules)",
+        ])
+        env = dict(os.environ, PYTHONPATH=SRC_DIR)
+        run = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                             env=env, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.splitlines()[-1] == "0 False"
 
 
 # --- the parser ---------------------------------------------------------------

@@ -2,16 +2,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weakdetect import pointer
 from weakdetect.pointer import (
     PointerGrid,
     SimConfig,
     default_config,
     estimate_weak_values,
-    gaussian_pointer,
     moment_table,
     pointer_overlaps,
-    translate,
 )
 from weakdetect.protocol import HAMILTONIAN, TAU_DEN
 from weakdetect.states import bell_phi_plus, random_mixed, random_pure, validate, werner
@@ -22,7 +19,7 @@ seeds = st.integers(0, 10**6)
 
 
 def table(rho, cfg):
-    return moment_table(*record(rho)[:2], pointer_overlaps(cfg)[0])
+    return moment_table(*record(rho)[:2], pointer_overlaps(cfg))
 
 
 def readout(rho, cfg):
@@ -30,6 +27,54 @@ def readout(rho, cfg):
     post-selection probabilities)."""
     flipped, probabilities, _, defined, _ = record(rho)
     return estimate_weak_values(flipped, probabilities, defined, cfg)
+
+
+# --- the grid reference -----------------------------------------------------
+#
+# The pointer evolved on an FFT grid: the reference that the closed-form
+# overlap table and the moment sums are checked against.
+
+def positions(grid):
+    return -grid.half_extent + grid.dx * np.arange(grid.n)
+
+
+def momenta(grid):
+    return 2.0 * np.pi * np.fft.fftfreq(grid.n, d=grid.dx)
+
+
+def momentum_weight(grid):
+    """Weight of |fft(wave)|^2 in a momentum sum: dx^2 / (2 pi) times dp."""
+    return grid.dx**2 / (2.0 * np.pi) * (2.0 * np.pi / (grid.n * grid.dx))
+
+
+def gaussian_pointer(sigma, grid):
+    """Gaussian exp(-x^2/(4 sigma^2)) normalized on the grid (Var(x) = sigma^2)."""
+    amp = np.exp(-(positions(grid) ** 2) / (4.0 * sigma**2)).astype(complex)
+    amp /= np.sqrt(np.sum(np.abs(amp) ** 2) * grid.dx)
+    return amp
+
+
+def translate(wave, grid, delta):
+    """Shift the wave by delta via the Fourier domain (exact for clean tails)."""
+    return np.fft.ifft(np.fft.fft(wave) * np.exp(-1j * momenta(grid) * delta))
+
+
+def grid_overlaps(cfg):
+    """pointer_overlaps on the grid, and the input pointer's row
+    <phi|O|phi>, O = 1, x, x^2, p, p^2, with momentum sums over the FFT grid."""
+    grid = cfg.grid
+    phi_in = gaussian_pointer(cfg.sigma, grid)
+    plus = translate(phi_in, grid, +cfg.epsilon)
+    minus = translate(phi_in, grid, -cfg.epsilon)
+    waves = np.stack([(plus + minus) / 2, (plus - minus) / 2, phi_in])
+    x, p = positions(grid), momenta(grid)
+    position = np.einsum("bj,mj,aj->abm", waves.conj(),
+                         np.stack([np.ones_like(x), x, x**2]) * grid.dx, waves)
+    spectra = np.fft.fft(waves, axis=1)
+    momentum = np.einsum("bj,mj,aj->abm", spectra.conj(),
+                         np.stack([p, p**2]) * momentum_weight(grid), spectra)
+    table = np.concatenate([position, momentum], axis=2)
+    return table[:2, :2], table[2, 2].real
 
 
 def _ensemble(joint, cutoff=1e-14):
@@ -49,9 +94,7 @@ def ensemble_moment_table(rho, cfg):
     grid = cfg.grid
     phi_plus = translate(phi_in, grid, +cfg.epsilon)
     phi_minus = translate(phi_in, grid, -cfg.epsilon)
-    x, p = grid.positions, grid.momenta
-    dp = 2.0 * np.pi / (grid.n * grid.dx)
-    momentum_weight = grid.dx**2 / (2.0 * np.pi) * dp
+    x, p = positions(grid), momenta(grid)
     sums = np.zeros((16, 5))
     for idx in range(16):
         for weight, psi in branches:
@@ -60,7 +103,7 @@ def ensemble_moment_table(rho, cfg):
             a_minus = 0.5 * (psi[idx] - flipped[idx])
             chi = a_plus * phi_plus + a_minus * phi_minus
             density = np.abs(chi) ** 2 * grid.dx
-            momentum_density = np.abs(np.fft.fft(chi)) ** 2 * momentum_weight
+            momentum_density = np.abs(np.fft.fft(chi)) ** 2 * momentum_weight(grid)
             sums[idx] += weight * np.array([
                 np.sum(density), np.sum(x * density), np.sum(x**2 * density),
                 np.sum(p * momentum_density), np.sum(p**2 * momentum_density),
@@ -72,8 +115,8 @@ class TestGrid:
     def test_spacing_and_positions(self):
         grid = PointerGrid(n=512, half_extent=16.0)
         assert grid.dx == pytest.approx(2 * 16.0 / 512)
-        assert grid.positions[0] == -16.0
-        assert grid.positions[1] - grid.positions[0] == pytest.approx(grid.dx)
+        assert positions(grid)[0] == -16.0
+        assert positions(grid)[1] - positions(grid)[0] == pytest.approx(grid.dx)
 
     def test_rejects_small_or_odd_sizes(self):
         with pytest.raises(ValueError):
@@ -83,16 +126,16 @@ class TestGrid:
 
 
 def input_moments(sigma):
-    """(mean x, var x, mean p, var p) of the input Gaussian, from the
-    reference row of pointer_overlaps."""
-    _, (_, x, x2, p, p2) = pointer_overlaps(default_config(0.0, sigma))
+    """(mean x, var x, mean p, var p) of the input Gaussian: at epsilon = 0
+    the (phi_s, phi_s) row of pointer_overlaps is the input pointer's own."""
+    _, x, x2, p, p2 = pointer_overlaps(default_config(0.0, sigma))[0, 0].real
     return x, x2 - x**2, p, p2 - p**2
 
 
 def position_moments(wave, grid):
     density = np.abs(wave) ** 2 * grid.dx
-    mean = np.sum(grid.positions * density)
-    return mean, np.sum((grid.positions - mean) ** 2 * density)
+    mean = np.sum(positions(grid) * density)
+    return mean, np.sum((positions(grid) - mean) ** 2 * density)
 
 
 class TestGaussianPointer:
@@ -114,6 +157,21 @@ class TestGaussianPointer:
     def test_grid_too_small(self):
         with pytest.raises(ValueError, match="10 sigma"):
             SimConfig(epsilon=1e-3, sigma=5.0, grid=PointerGrid(n=512, half_extent=16.0))
+
+
+class TestOverlapTable:
+    @pytest.mark.parametrize("eps", [0.0, 2.5e-4, 5e-4, 1e-3, 2e-3, 4e-3, 0.05])
+    @pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0])
+    @pytest.mark.parametrize("n", [256, 1024, 4096, 16384])
+    def test_closed_form_matches_grid(self, n, sigma, eps):
+        # relative to each moment's size in the input pointer:
+        # 1, sigma, sigma^2, 1/(2 sigma), 1/(4 sigma^2)
+        cfg = SimConfig(epsilon=eps, sigma=sigma, grid=PointerGrid(n=n, half_extent=40.0))
+        want, reference = grid_overlaps(cfg)
+        scale = np.array([1.0, sigma, sigma**2, 0.5 / sigma, 0.25 / sigma**2])
+        assert (np.abs(pointer_overlaps(cfg) - want) <= 1e-12 * scale).all()
+        row = np.array([1.0, 0.0, sigma**2, 0.0, 0.25 / sigma**2])
+        assert (np.abs(row - reference) <= 1e-12 * scale).all()
 
 
 class TestTranslate:
@@ -259,70 +317,6 @@ class TestEstimateWeakValues:
 
         ratio = max_err(1e-3) / max_err(5e-4)
         assert 1.7 <= ratio <= 4.3
-
-
-def small_config(n=256, half_extent=20.0, sigma=1.0, epsilon=1e-3):
-    return SimConfig(epsilon=epsilon, sigma=sigma, grid=PointerGrid(n, half_extent))
-
-
-class TestOverlapCache:
-    """pointer_overlaps memoises its table per SimConfig."""
-
-    def setup_method(self):
-        pointer.pointer_overlaps.cache_clear()
-
-    def counts(self):
-        info = pointer.pointer_overlaps.cache_info()
-        return info.hits, info.misses
-
-    def test_equal_configs_hit_and_each_field_misses(self):
-        first = pointer_overlaps(small_config())
-        again = pointer_overlaps(small_config())  # equal, not the same object
-        assert again[0] is first[0] and again[1] is first[1]
-        assert self.counts() == (1, 1)
-        for changed in (small_config(n=512), small_config(half_extent=25.0),
-                        small_config(sigma=1.5), small_config(epsilon=2e-3)):
-            pointer_overlaps(changed)
-        assert self.counts() == (1, 5)
-
-    def test_tables_reject_writes(self):
-        overlaps, reference = pointer_overlaps(small_config())
-        assert overlaps.flags.owndata and reference.flags.owndata
-        with pytest.raises(ValueError):
-            overlaps[0, 0, 0] = 0.0
-        with pytest.raises(ValueError):
-            reference[0] = 0.0
-
-    @pytest.mark.parametrize("cfg", [small_config(), small_config(sigma=0.5, epsilon=0.05),
-                                     default_config(1e-3, 1.0)],
-                             ids=["small", "narrow-strong", "default"])
-    def test_cached_equals_uncached_bit_for_bit(self, cfg):
-        uncached = pointer.pointer_overlaps.__wrapped__(cfg)
-        for _ in range(2):  # a miss, then a hit
-            cached = pointer_overlaps(cfg)
-            for got, want in zip(cached, uncached):
-                assert got.dtype == want.dtype and got.shape == want.shape
-                assert got.tobytes() == want.tobytes()
-
-    def test_evicted_configs_rebuild_correctly(self):
-        maxsize = pointer.pointer_overlaps.cache_parameters()["maxsize"]
-        assert maxsize >= 64
-        configs = [small_config(epsilon=(i + 1) * 1e-4) for i in range(maxsize + 6)]
-        for cfg in configs:
-            pointer_overlaps(cfg)
-        assert pointer.pointer_overlaps.cache_info().currsize == maxsize
-        for cfg in configs[:3]:  # the oldest, evicted
-            rebuilt = pointer_overlaps(cfg)
-            for got, want in zip(rebuilt, pointer.pointer_overlaps.__wrapped__(cfg)):
-                assert got.tobytes() == want.tobytes()
-        assert self.counts() == (0, maxsize + 9)
-
-    def test_cached_estimates_match_a_cold_build(self):
-        rho, cfg = random_mixed(5), small_config()
-        cold = readout(rho, cfg)
-        for got, want in zip(readout(rho, cfg), cold):
-            assert got.tobytes() == want.tobytes()
-        assert self.counts() == (1, 1)
 
 
 class TestRangeChecks:

@@ -412,8 +412,9 @@ class TestTraceNormScreen:
         rho = SCREEN_STATES["small-diagonal"]
         delta = largest_delta(rho)
         assert bound_check(rho, delta, 1, 0).bound < np.inf
-        with pytest.raises(ValueError):
-            bound_check(rho, float(np.nextafter(delta, np.inf)), 1, 0)
+        for beyond in (float(np.nextafter(delta, np.inf)), np.nextafter(delta, np.inf)):
+            with pytest.raises(ValueError):
+                bound_check(rho, beyond, 1, 0)
 
     @pytest.mark.parametrize("family", ["random", "rank-1", "diagonal", "symmetric-spectrum"])
     def test_bounds_bracket_the_trace_norm(self, family):
