@@ -14,11 +14,12 @@ so a Hadamard sandwich on qubit 2 turns it into two controlled single-qubit
 rotations. The assembled gate list must reproduce U exactly for every eps,
 not just in the weak regime. X, X(x)X and the conditional-flip generator H
 all square to the identity, so each exponential is exp(-i eps A) =
-cos(eps) 1 - i sin(eps) A in closed form.
+cos(eps) 1 - i sin(eps) A; U's generator and gate layouts are built once.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,14 +56,17 @@ def x_rotation(epsilon: float) -> np.ndarray:
     return _exp_involution(_SIGMA_X, epsilon)
 
 
+# U's generator: X on qubit 3 in the |0x> branch, X on qubit 2 in the |10>
+# branch and X(x)X on qubits 2, 3 in the |11> branch.
+_GENERATOR = (np.kron(np.diag([1.0, 0.0]), np.kron(np.eye(4), _SIGMA_X))
+              + np.kron(np.diag([0.0, 0.0, 1.0, 0.0]), np.kron(_SIGMA_X, np.eye(2)))
+              + np.kron(np.diag([0.0, 0.0, 0.0, 1.0]), np.kron(_SIGMA_X, _SIGMA_X)))
+
+
 def weak_interaction_unitary(epsilon: float) -> np.ndarray:
     """The closed-form 16x16 conditional unitary generated by the
     conditional-flip Hamiltonian at coupling epsilon."""
-    rx = x_rotation(epsilon)
-    rxx = _exp_involution(np.kron(_SIGMA_X, _SIGMA_X), epsilon)
-    return (np.kron(np.diag([1.0, 0.0]), np.kron(np.eye(4), rx))
-            + np.kron(np.diag([0.0, 0.0, 1.0, 0.0]), np.kron(rx, np.eye(2)))
-            + np.kron(np.diag([0.0, 0.0, 0.0, 1.0]), rxx))
+    return _exp_involution(_GENERATOR, epsilon)
 
 
 def build_detection_circuit(epsilon: float) -> tuple[Gate, ...]:
@@ -88,18 +92,28 @@ def build_detection_circuit(epsilon: float) -> tuple[Gate, ...]:
     )
 
 
+@functools.cache
+def _layout(target: int, controls: tuple[tuple[int, int], ...]) -> np.ndarray:
+    """Read-only indices of embed_gate's entries into [*matrix.flat, 0, 1]."""
+    index = np.arange(DIM)
+    mask = 1 << (N_QUBITS - 1 - target)
+    bit = (index & mask) // mask
+    fires = np.ones(DIM, dtype=bool)
+    for qubit, value in controls:
+        fires &= (index >> (N_QUBITS - 1 - qubit)) & 1 == value
+    # entry 2 bit(r) + bit(c) of the matrix where r, c agree off the target
+    g = np.where((index[:, None] ^ index) | mask == mask, 2 * bit[:, None] + bit, 4)
+    # rows outside P are those of 1: 5 (one) on the diagonal, 4 (zero) off it
+    source = np.where(fires[:, None], g, 4 + np.eye(DIM, dtype=int))
+    source.setflags(write=False)
+    return source
+
+
 def embed_gate(gate: Gate) -> np.ndarray:
     """Expand a single-qubit gate into the full 16-dimensional unitary
     1 - P + P G: G[r, c] = matrix[bit(r), bit(c)] when r and c agree off the
     target, and P projects onto the basis states whose controls match."""
-    index = np.arange(DIM)
-    mask = 1 << (N_QUBITS - 1 - gate.target)
-    bit = (index & mask) // mask
-    g = np.where((index[:, None] ^ index) | mask == mask, gate.matrix[bit[:, None], bit], 0.0)
-    fires = np.ones(DIM, dtype=bool)
-    for qubit, value in gate.controls:
-        fires &= (index >> (N_QUBITS - 1 - qubit)) & 1 == value
-    return np.where(fires[:, None], g, np.eye(DIM))
+    return np.append(gate.matrix, (0, 1)).take(_layout(gate.target, tuple(gate.controls)))
 
 
 def assemble_unitary(gates: tuple[Gate, ...]) -> np.ndarray:

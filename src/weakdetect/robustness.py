@@ -10,15 +10,17 @@ A trial draws a Hermitian H_t and sets P = delta H_t / ||H_t||_1, so its
 deviation delta |<e_k|H_t|c_k>| / ||H_t||_1 is linear in H_t but for the
 trace norm, and only the largest deviation per outcome is reported.
 
-The trials run in stacked passes of CHUNK. One einsum gives every overlap
-|<e_k|H_t|c_k>|, and the trace norms are bounded from both sides without an
-eigen-solve (_trace_norm_bounds). A trial whose deviations are all bounded
-from above below delta/m, and below the larger of the running worst and the
-best bound from below in its pass, can neither set a reported maximum nor
-violate the bound. One batched eigvalsh rescales only the other trials,
-which are then contracted with rho x rho as every trial was before the
-screen, so reports are bit-identical to solving every trial. Trial i draws
-from child i of SeedSequence(seed), whatever the stacking or trial count.
+The trials run in stacked passes of CHUNK. H_t = S + iA (S symmetric, A
+antisymmetric, both real) takes copies, one add and one halving (_hermitian).
+One einsum gives every overlap |<e_k|H_t|c_k>|, and the trace norms are
+bounded from both sides without an eigen-solve (_trace_norm_bounds). A trial
+whose deviations are all bounded from above below delta/m, and below the
+larger of the running worst and the best bound from below in its pass, can
+neither set a reported maximum nor violate the bound. One batched eigvalsh
+rescales only the other trials, which are then contracted with rho x rho as
+every trial was before the screen, so reports are bit-identical to solving
+every trial. Trial i draws from child i of SeedSequence(seed), whatever the
+stacking or trial count; at delta = 0 every deviation is 0 and nothing is drawn.
 
 A child's stream is fixed by the four uint64 words it hands PCG64, so no
 child is spawned. SeedSequence derives those words with a data-independent
@@ -213,22 +215,20 @@ def _hermitian(streams, draws: np.ndarray, herm: np.ndarray, scratch: np.ndarray
     Hermitian parts (g + g^H) / 2 of g = real + 1j * imag.
 
     The buffers hold at least n trials and are reused from pass to pass;
-    ``scratch`` is overwritten. Each step is the ufunc that the expression
-    calls, so the bits are the same. Operands are cast, transposed and
-    broadcast by copies first: a ufunc that does so itself fills
-    8192-element buffers, 128 KiB of complex, at glibc's mmap threshold.
+    ``scratch`` is overwritten. Copying the draws into herm's halves gives g
+    bit for bit (1j * imag adds only a signed zero to the real part), then
+    g + conj(g^T), and * 0.5 on the float view is / 2 exactly. Only copies read
+    the draws or a transposed view, so no ufunc fills an iterator buffer.
     """
     n = 0
     for n, stream in enumerate(streams, 1):
         np.random.Generator(np.random.PCG64(stream)).standard_normal(out=draws[n - 1])
     draws, herm, scratch = draws[:n], herm[:n], scratch[:n]
-    np.copyto(herm, draws[:, 1])
-    np.multiply(1j, herm, out=herm)
-    np.copyto(scratch, draws[:, 0])
-    np.add(scratch, herm, out=herm)
+    np.copyto(herm.real, draws[:, 0])
+    np.copyto(herm.imag, draws[:, 1])
     np.copyto(scratch, herm.swapaxes(1, 2))
     np.add(herm, np.conjugate(scratch, out=scratch), out=herm)
-    return np.divide(herm, 2, out=herm)
+    return np.multiply(herm.view(float), 0.5, out=herm.view(float)).view(complex)
 
 
 def _scale(delta: float, herm: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -287,13 +287,13 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
     _GAMMA ||h_k|| ||c_k|| (Cauchy-Schwarz on the 16-term sums of the screen
     and of the exact path, each within about 20u of sum |h_kl c_l|), delta/L
     and delta/U by the relative _SLACK (far above the eigvalsh error in the
-    trace norm), and both by _TINY per unit of (1 + ||h_k||)(1 + ||c_k||),
-    which covers subnormal products. A trial is solved when some outcome's
-    bound from above reaches the smaller of delta/m and the larger of the
-    running worst and the pass's best bound from below. Any other trial's
-    deviation lies below a deviation that is solved, and below delta/m, so
-    ``deviations``, ``margin`` and ``violations`` are those of solving every
-    trial, bit for bit.
+    trace norm and the 2u of forming delta (1 +- _SLACK) once per request),
+    and both by _TINY per unit of (1 + ||h_k||)(1 + ||c_k||), for subnormal
+    products. A trial is solved when some outcome's bound from above reaches
+    the smaller of delta/m and the larger of the running worst and the pass's
+    best bound from below. Any other trial's deviation lies below a solved
+    one, and below delta/m, so ``deviations``, ``margin`` and ``violations``
+    are those of solving every trial, bit for bit.
     """
     _check_delta(delta)
     if trials < 0:
@@ -309,12 +309,17 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
         raise ValueError(f"delta {delta!r} is too large: the bound delta/m "
                          f"with m = {m!r} is not finite")
     run = _run_pool(seed)
+    if not delta:  # every deviation is exactly 0, whatever is drawn
+        return RobustnessReport(delta, m, bound, trials, {}, bound, 0)
 
     _, probabilities, _, signal, _ = (a[0] for a in weak_values_batch(rho.matrix[None]))
     joint = np.kron(rho.matrix, rho.matrix)
     outcome_rows = np.flatnonzero(signal)
     columns = joint[:, signal] / probabilities[signal]
     column_norms = np.linalg.norm(columns, axis=0)
+    # the screen's per-request factors
+    column_slack, column_tiny = _GAMMA * column_norms, _TINY * (1 + column_norms)
+    delta_high, delta_low = delta * (1 + _SLACK), delta * (1 - _SLACK)
     worst = np.zeros(len(outcome_rows))
     violations = 0
     streams = _child_streams(run, trials)
@@ -329,10 +334,10 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
         overlap = np.abs(np.einsum("tkl,lk->tk", picked, columns))
         rownorms, lower, upper = _trace_norm_bounds(part, stack)
         rownorms = rownorms[:, outcome_rows]
-        slack = _GAMMA * rownorms * column_norms
-        underflow = _TINY * (1 + rownorms) * (1 + column_norms)
-        high = (overlap + slack) * (delta / lower * (1 + _SLACK))[:, None] + underflow
-        low = (overlap - slack) * (delta / upper * (1 - _SLACK))[:, None] - underflow
+        slack = rownorms * column_slack
+        underflow = (1 + rownorms) * column_tiny
+        high = (overlap + slack) * (delta_high / lower)[:, None] + underflow
+        low = (overlap - slack) * (delta_low / upper)[:, None] - underflow
         cut = np.minimum(np.maximum(worst, low.max(axis=0)), bound)
         solve = np.flatnonzero((high >= cut).any(axis=1))
         if not solve.size:

@@ -54,6 +54,16 @@ def reference_embed_gate(gate):
     return full
 
 
+def reference_weak_interaction_unitary(eps):
+    """U as the sum of its three branches' kron placements, built at each
+    coupling: the reference for the constant-generator closed form."""
+    rx = x_rotation(eps)
+    rxx = circuit._exp_involution(np.kron(SIGMA_X, SIGMA_X), eps)
+    return (np.kron(np.diag([1.0, 0.0]), np.kron(np.eye(4), rx))
+            + np.kron(np.diag([0.0, 0.0, 1.0, 0.0]), np.kron(rx, np.eye(2)))
+            + np.kron(np.diag([0.0, 0.0, 0.0, 1.0]), rxx))
+
+
 def random_unitary(seed, d):
     g = np.random.default_rng(seed).standard_normal((2, d, d))
     q, r = np.linalg.qr(g[0] + 1j * g[1])
@@ -92,6 +102,11 @@ class TestWeakInteractionUnitary:
         expected = expm_hermitian(HAMILTONIAN, -1j * eps)
         assert np.max(np.abs(u - expected)) <= 1e-12
         assert unitary_vs_hamiltonian(eps) <= 1e-12
+
+    @pytest.mark.parametrize("eps", [0.0, 1e-12, -1e-12, 1e-3, 0.0123, 0.5, 1.0,
+                                     np.pi / 2, np.pi, 3.0, 1e3])
+    def test_equals_kron_sum_exactly(self, eps):
+        assert np.array_equal(weak_interaction_unitary(eps), reference_weak_interaction_unitary(eps))
 
 
 class TestHadamard:
@@ -171,6 +186,13 @@ class TestEmbedGate:
     def test_detection_gates_match_per_column_reference(self, eps):
         for gate in build_detection_circuit(eps):
             assert np.max(np.abs(embed_gate(gate) - reference_embed_gate(gate))) <= 1e-15
+
+    def test_cached_layout_is_read_only(self):
+        embed_gate(Gate("U", 2, HADAMARD, controls=((0, 1),)))
+        layout = circuit._layout(2, ((0, 1),))
+        assert circuit._layout(2, ((0, 1),)) is layout
+        with pytest.raises(ValueError):
+            layout[0, 0] = 5
 
     def test_embedding_is_unitary(self):
         for gate in build_detection_circuit(0.7):

@@ -21,6 +21,24 @@ def draw(delta, seed):
     return perturbations(delta, [np.random.SeedSequence(seed)])[0]
 
 
+def reference_hermitian(streams):
+    """The Hermitian parts (g + g^H) / 2 of g = real + 1j * imag from each
+    stream's draws, in seven complex steps with a complex product and
+    quotient: the reference for ``_hermitian``."""
+    streams = list(streams)
+    draws = np.empty((len(streams), 2, 16, 16))
+    for row, stream in zip(draws, streams):
+        np.random.Generator(np.random.PCG64(stream)).standard_normal(out=row)
+    herm, scratch = np.empty((2, len(streams), 16, 16), complex)
+    np.copyto(herm, draws[:, 1])
+    np.multiply(1j, herm, out=herm)
+    np.copyto(scratch, draws[:, 0])
+    np.add(scratch, herm, out=herm)
+    np.copyto(scratch, herm.swapaxes(1, 2))
+    np.add(herm, np.conjugate(scratch, out=scratch), out=herm)
+    return np.divide(herm, 2, out=herm)
+
+
 def weak_value_deviation(rho, perturbation, k):
     """|weak value under H - weak value under H_e| with H_e = H - P."""
     return abs(exact_weak_value(rho, H, k) - exact_weak_value(rho, H - perturbation, k))
@@ -90,6 +108,33 @@ class TestRandomPerturbation:
     def test_rejects_negative_delta(self):
         with pytest.raises(ValueError):
             perturbations(-1.0, np.random.SeedSequence(0).spawn(1))
+
+    @pytest.mark.parametrize("n", [1, 31, 32, 33, 100])
+    def test_bits_match_complex_reference(self, n):
+        streams = np.random.SeedSequence(n).spawn(n)
+        herm = reference_hermitian(streams)
+        expected = robustness._scale(1e-2, herm, np.empty_like(herm))
+        np.testing.assert_array_equal(perturbations(1e-2, streams).view(np.uint64),
+                                      expected.view(np.uint64))
+        draws = np.empty((robustness.CHUNK, 2, 16, 16))
+        out, scratch = np.empty((2, robustness.CHUNK, 16, 16), complex)
+        part = robustness._hermitian(streams[:robustness.CHUNK], draws, out, scratch)
+        np.testing.assert_array_equal(part.view(np.uint64),
+                                      herm[:robustness.CHUNK].view(np.uint64))
+
+    def test_pass_allocates_no_ufunc_buffer(self):
+        # a buffered or overlap-copying ufunc would allocate at least 64 KiB
+        streams = np.random.SeedSequence(8).spawn(robustness.CHUNK)
+        draws = np.empty((robustness.CHUNK, 2, 16, 16))
+        herm, scratch = np.empty((2, robustness.CHUNK, 16, 16), complex)
+        robustness._hermitian(streams, draws, herm, scratch)
+        tracemalloc.start()
+        try:
+            robustness._hermitian(streams, draws, herm, scratch)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 1024
 
 
 class TestWeakValueDeviation:
@@ -248,6 +293,29 @@ class TestBoundCheck:
             assert report.margin == report.bound
             assert report.violations == 0
 
+    @pytest.mark.parametrize("rho", [werner(0.5), random_mixed(4), validate(np.eye(4) / 4)],
+                             ids=["werner", "ginibre", "maximally-mixed"])
+    @pytest.mark.parametrize("trials", [0, 1, 1000])
+    def test_zero_delta_draws_and_solves_nothing(self, monkeypatch, rho, trials):
+        expected = unscreened_bound_check(rho, 0.0, trials, seed=4)
+        drawn, solved = [], []
+        generator, eigvalsh = np.random.Generator, np.linalg.eigvalsh
+
+        def generator_spy(*args, **kwargs):
+            drawn.append(1)
+            return generator(*args, **kwargs)
+
+        def eigvalsh_spy(a, *args, **kwargs):
+            solved.append(len(a))
+            return eigvalsh(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Generator", generator_spy)
+        monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh_spy)
+        report = bound_check(rho, 0.0, trials, seed=4)
+        assert drawn == [] and solved == []
+        assert report == expected
+        assert (report.deviations, report.margin, report.violations) == ({}, 0.0, 0)
+
 
 SEEDS = [0, 1, 2**31 - 2, 2**32 - 1, 2**32, 2**64 + 3, 2**128 + 5, 10**40]
 # Across the pass boundaries at 32 and the hash block boundary at 1024.
@@ -309,6 +377,8 @@ class TestChildStreams:
             np.random.SeedSequence(seed)
         with pytest.raises((TypeError, ValueError)):
             bound_check(werner(0.5), 1e-2, trials=0, seed=seed)
+        with pytest.raises((TypeError, ValueError)):  # delta = 0 draws nothing
+            bound_check(werner(0.5), 0.0, trials=10, seed=seed)
 
 
 def near_rank_deficient(amplitudes, t, seed):
