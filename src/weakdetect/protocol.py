@@ -234,14 +234,24 @@ _DET_TERMS = (
 _FACTORS = ("p", "q", "r", "s", "u", "v", "w", "x", "y", "z",
             "u*", "v*", "w*", "x*", "y*", "z*")
 _TERM_SIGNS = np.array([1.0 if term[0] == "+" else -1.0 for term in _DET_TERMS])
-_TERM_FACTORS = np.array([[_FACTORS.index(f) for f in term.split()[1:]] for term in _DET_TERMS])
+# Column j holds the index into _FACTORS of every term's j-th factor.
+_TERM_FACTORS = np.array([[_FACTORS.index(f) for f in term.split()[1:]] for term in _DET_TERMS]).T
 
 
 def _det_terms(diagonal: np.ndarray, elements: np.ndarray) -> np.ndarray:
     """(N, 24) terms of det(rho^TB) from (N, 4) diagonals and (N, 6)
-    off-diagonals u..z; their sum is real up to roundoff."""
+    off-diagonals u..z; their sum is real up to roundoff.
+
+    Each term is ((f0 f1) f2) f3, three in-place products of (N, 24) column
+    gathers, so no (N, 24, 4) stack of factors is formed.
+    """
     factors = np.concatenate([diagonal, elements, elements.conj()], axis=1)
-    return _TERM_SIGNS * factors[:, _TERM_FACTORS].prod(axis=2)
+    first, *rest = _TERM_FACTORS
+    terms = factors[:, first]
+    for column in rest:
+        terms *= factors[:, column]
+    terms *= _TERM_SIGNS
+    return terms
 
 
 def det_ptb_expansion(rho: TwoQubitState) -> float:

@@ -309,8 +309,8 @@ def bound_check(rho: TwoQubitState, delta: float, trials: int, seed: int) -> Rob
         raise ValueError(f"delta {delta!r} is too large: the bound delta/m "
                          f"with m = {m!r} is not finite")
     run = _run_pool(seed)
-    if not delta:  # every deviation is exactly 0, whatever is drawn
-        return RobustnessReport(delta, m, bound, trials, {}, bound, 0)
+    if not delta:  # every deviation is exactly 0, whatever is drawn; -0.0 reads as 0.0
+        return RobustnessReport(0.0, m, 0.0, trials, {}, 0.0, 0)
 
     _, probabilities, _, signal, _ = (a[0] for a in weak_values_batch(rho.matrix[None]))
     joint = np.kron(rho.matrix, rho.matrix)

@@ -149,19 +149,21 @@ def validate_batch(stack, *, positivity_tol: float = VALIDATION_ATOL) -> np.ndar
     arr = np.asarray(stack, dtype=complex)
     if arr.ndim != 3 or arr.shape[1:] != (4, 4):
         raise StateValidationError(f"expected 4x4 matrices, got shape {arr.shape}")
-    if not np.isfinite(arr).all():
-        raise StateValidationError("matrix entries must be finite (no NaN/Inf)")
     # A density matrix has no entry above 1 in magnitude. The bound 2 leaves
     # room for the tolerances, so no valid state is rejected, and keeps the
-    # checks below (Cholesky and eigvalsh included) free of overflow.
+    # checks below (Cholesky and eigvalsh included) free of overflow. The max
+    # propagates NaN and abs(Inf) is Inf, so one comparison also screens
+    # finiteness; isfinite runs only to word a refusal, finiteness first.
     big = np.abs(arr).max(initial=0.0)
-    if big > 2.0:
+    if not big <= 2.0:
+        if not np.isfinite(arr).all():
+            raise StateValidationError("matrix entries must be finite (no NaN/Inf)")
         raise StateValidationError(f"entry of magnitude {big:.3e} exceeds 1, the bound "
                                    "for a density matrix")
     adjoint = arr.conj().swapaxes(1, 2)
-    dev = np.abs(arr - adjoint).max(axis=(1, 2), initial=0.0)
-    if (dev > VALIDATION_ATOL).any():
-        raise HermiticityError(f"matrix deviates from Hermitian by {dev.max():.3e}")
+    dev = np.abs(arr - adjoint).max(initial=0.0)
+    if dev > VALIDATION_ATOL:
+        raise HermiticityError(f"matrix deviates from Hermitian by {dev:.3e}")
     trace = np.trace(arr, axis1=1, axis2=2)
     off = np.abs(trace - 1.0) > VALIDATION_ATOL
     if off.any():
@@ -246,9 +248,9 @@ def ppt_entangled(stack: np.ndarray, *, tau: float = TAU_DET) -> np.ndarray:
     pt = _partial_transpose(stack)
     n = len(pt)
     margin = PPT_MARGIN * (1 + 4 * abs(tau))
-    eye = np.eye(4)
-    completes = _cholesky_completes(np.concatenate([pt + (tau - margin) * eye,
-                                                    pt + (tau + margin) * eye]))
+    shifts = np.array([tau - margin, tau + margin])
+    completes = _cholesky_completes((pt + shifts[:, None, None, None] * np.eye(4))
+                                    .reshape(2 * n, 4, 4))
     entangled = ~completes[:n]
     band = np.flatnonzero(entangled & completes[n:])
     if band.size:
@@ -280,11 +282,23 @@ def _as_generator(seed) -> np.random.Generator:
 
 def random_mixed_batch(rng: np.random.Generator, n: int) -> np.ndarray:
     """(n, 4, 4) validated stack of full-rank random states; draws the same
-    stream as n calls of :func:`random_mixed` on ``rng``."""
-    g = rng.standard_normal((n, 2, 4, 4))
-    g = g[:, 0] + 1j * g[:, 1]
+    stream as n calls of :func:`random_mixed` on ``rng``.
+
+    The draws are copied into the real and imaginary halves of one complex
+    buffer, which holds ``real + 1j * imag`` bit for bit (1j * imag adds only
+    a signed zero to the real part). Scaling the float view of ``G G^H`` by
+    the reciprocal of its real trace gives the complex quotient by that trace
+    bit for bit: numpy divides by a complex number with zero imaginary part
+    by multiplying with the reciprocal of its real part.
+    """
+    draws = rng.standard_normal((n, 2, 4, 4))
+    g = np.empty((n, 4, 4), complex)
+    np.copyto(g.real, draws[:, 0])
+    np.copyto(g.imag, draws[:, 1])
     a = g @ g.conj().swapaxes(1, 2)
-    return validate_batch(a / np.trace(a, axis1=1, axis2=2).real[:, None, None])
+    flat = a.view(float)
+    np.multiply(flat, (1 / np.trace(a, axis1=1, axis2=2).real)[:, None, None], out=flat)
+    return validate_batch(a)
 
 
 def random_mixed(seed) -> TwoQubitState:

@@ -2,6 +2,7 @@ import argparse
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -268,6 +269,23 @@ class TestRobustness:
     def test_rank_deficient_exits_2(self, capsys, bell_file):
         code, _ = run_main(capsys, ["robustness", "--input", bell_file, "--trials", "5"])
         assert code == 2
+
+
+@pytest.mark.parametrize("output", ["json", "text"])
+@pytest.mark.parametrize("argv, flag", [
+    (["robustness", "--trials", "0"], "--delta"),
+    (["robustness", "--trials", "40"], "--delta"),
+    (["detect"], "--tol-det"),
+    (["benchmark", "--trials", "40"], "--tol-det"),
+])
+def test_negative_zero_flag_prints_the_zero_document(capsys, werner_file, argv, flag, output):
+    argv = [*argv, "--format", output]
+    if argv[0] in cli._NEEDS_INPUT:
+        argv += ["--input", werner_file]
+    code, zero = run_main(capsys, [*argv, flag, "0"])
+    assert code == 0
+    assert run_main(capsys, [*argv, flag, "-0.0"]) == (code, zero)
+    assert not re.search(r"-0\.0(?!\d)", zero)  # no negative zero anywhere
 
 
 class TestBenchmark:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
@@ -12,8 +14,12 @@ from weakdetect.protocol import (
     TAU_DIAG,
     _FALLBACK,
     _LOCAL_PERM,
+    _DET_TERMS,
+    _FACTORS,
     _PRIMARY,
+    _TERM_SIGNS,
     _det_terms,
+    _elements,
     detect,
     detect_batch,
     detect_pure_local,
@@ -97,6 +103,28 @@ def element_terms(m):
         -z * c(z) * p * q,
         p * q * r * s,
     ]
+
+
+# Row t holds the indices into _FACTORS of term t's four factors.
+GATHER = np.array([[_FACTORS.index(f) for f in term.split()[1:]] for term in _DET_TERMS])
+
+
+def reference_det_terms(diagonal, elements):
+    """The terms as a gather of an (N, 24, 4) stack of factors and its
+    product along the last axis."""
+    factors = np.concatenate([diagonal, elements, elements.conj()], axis=1)
+    return _TERM_SIGNS * factors[:, GATHER].prod(axis=2)
+
+
+def term_inputs(stack):
+    """The (N, 4) diagonals and (N, 6) off-diagonals u..z that detect_batch
+    passes to _det_terms for a stack."""
+    _, _, values, defined, diagonal = weak_values_batch(stack)
+    return diagonal, _elements(values, defined, diagonal, stack[:, *np.triu_indices(4, 1)])
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
 
 
 def basis_state(i):
@@ -278,6 +306,37 @@ class TestDetBracket:
         lhs = np.conj(values[0]) * p
         rhs = values[1] * q
         assert abs(lhs - rhs) <= 1e-12 * (1 + abs(rhs))
+
+
+class TestDetTerms:
+    @pytest.mark.parametrize("n", [2, 3, 255, 256, 257])
+    def test_bits_match_gather_reference(self, n):
+        args = term_inputs(random_mixed_batch(np.random.default_rng(n), n))
+        np.testing.assert_array_equal(bits(_det_terms(*args)), bits(reference_det_terms(*args)))
+
+    def test_single_state_within_roundoff_of_gather_reference(self):
+        # A one-row gather is reduced by another numpy loop than the
+        # elementwise products, so the bits may differ, by a few units of
+        # roundoff u = 2^-53 of the terms' scale.
+        stack = np.concatenate([mixed_stack(0),
+                                random_mixed_batch(np.random.default_rng(1), 200)])
+        for m in stack:
+            args = term_inputs(m[None])
+            got, want = _det_terms(*args)[0], reference_det_terms(*args)[0]
+            scale = 4 * 2.0**-53 * np.abs(want).sum()
+            assert np.all(np.abs(got - want) <= scale)
+            assert abs(got.sum() - want.sum()) <= scale
+
+    def test_forms_no_stack_of_factors(self):
+        args = term_inputs(random_mixed_batch(np.random.default_rng(5), 256))
+        _det_terms(*args)
+        tracemalloc.start()
+        try:
+            _det_terms(*args)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 256 * 24 * 4 * np.dtype(complex).itemsize  # the (256, 24, 4) gather
 
 
 class TestDetect:
@@ -464,6 +523,17 @@ class TestDetectBatch:
                                     batch.diagonal[diagonal])
         assert len(rebuilt) == 7  # basis and diagonal states
         assert np.all(rebuilt - rebuilt * np.eye(4) == 0)
+
+    def test_verdicts_do_not_depend_on_batch_size(self):
+        # numpy sums a one-row (1, 24) stack of terms in another order than
+        # an (N, 24) one, so det_value moves in its last bits with N (1323 of
+        # these 2000 rows, by up to 2.3e-12 relative); no verdict may.
+        stack = random_mixed_batch(np.random.default_rng(3), 2000)
+        whole = detect_batch(stack)
+        alone = np.array([detect_batch(m[None]).entangled[0] for m in stack])
+        np.testing.assert_array_equal(alone, whole.entangled)
+        np.testing.assert_allclose([detect_batch(m[None]).det_value[0] for m in stack],
+                                   whole.det_value, rtol=1e-11)
 
     def test_oracle_disagreements_lie_in_the_gate_band(self):
         # every verdict that differs from the partial-transpose oracle has

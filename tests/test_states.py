@@ -14,6 +14,7 @@ from weakdetect.states import (
     PositivityError,
     PureAmplitudes,
     SchemaError,
+    StateValidationError,
     TraceError,
     TwoQubitState,
     Verdict,
@@ -107,6 +108,32 @@ class TestValidate:
         with pytest.raises(PositivityError, match=r"^smallest eigenvalue -1\.000e-01 below"):
             validate_batch(stack)
         assert shapes == [(2, 4, 4)]
+
+    @pytest.mark.parametrize("entries, message", [
+        # finiteness is worded first, wherever the non-finite entry sits
+        ({(0, 0, 1): 5.0, (2, 1, 3): np.nan}, "matrix entries must be finite (no NaN/Inf)"),
+        ({(0, 0, 1): np.nan, (2, 1, 3): 5.0}, "matrix entries must be finite (no NaN/Inf)"),
+        ({(1, 3, 3): complex(-np.inf, np.nan)}, "matrix entries must be finite (no NaN/Inf)"),
+        ({(1, 2, 0): 3.0}, "entry of magnitude 3.000e+00 exceeds 1, the bound for a "
+                           "density matrix"),
+    ])
+    def test_entry_refusal_order(self, entries, message):
+        stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        for index, value in entries.items():
+            stack[index] = value
+        with pytest.raises(StateValidationError) as refused:
+            validate_batch(stack)
+        assert type(refused.value) is StateValidationError
+        assert str(refused.value) == message
+
+    def test_non_hermitian_stack_names_largest_deviation(self):
+        stack = np.stack([np.eye(4, dtype=complex) / 4] * 3)
+        stack[0, 0, 1] = 0.1
+        stack[1, 2, 3] = 0.3j
+        stack[2, 1, 0] = 0.2
+        with pytest.raises(HermiticityError, match=r"^matrix deviates from Hermitian by "
+                                                   r"3\.000e-01$"):
+            validate_batch(stack)
 
     def test_non_hermitian_rejected(self):
         m = np.eye(4, dtype=complex) / 4
@@ -455,7 +482,25 @@ class TestEntanglementEstimate:
         assert entanglement_estimate(werner(0.5)) == pytest.approx(27 / 4096, abs=1e-13)
 
 
+def reference_random_mixed_batch(rng, n):
+    """Ginibre states in complex arithmetic: g = real + 1j * imag, then a
+    complex quotient of g g^H by its real trace."""
+    g = rng.standard_normal((n, 2, 4, 4))
+    g = g[:, 0] + 1j * g[:, 1]
+    a = g @ g.conj().swapaxes(1, 2)
+    return validate_batch(a / np.trace(a, axis1=1, axis2=2).real[:, None, None])
+
+
 class TestRandomStates:
+    @pytest.mark.parametrize("n", [1, 2, 255, 256, 257])
+    def test_batch_bits_match_complex_reference(self, n):
+        for seed in range(20):
+            rng, reference_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+            got = random_mixed_batch(rng, n)
+            want = reference_random_mixed_batch(reference_rng, n)
+            np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+            assert rng.bit_generator.state == reference_rng.bit_generator.state
+
     def test_mixed_deterministic(self):
         a, b = random_mixed(123), random_mixed(123)
         np.testing.assert_array_equal(a.matrix, b.matrix)
