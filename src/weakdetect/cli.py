@@ -157,6 +157,8 @@ def cmd_tomo(cfg: argparse.Namespace):
 
 def cmd_pointer_sim(cfg: argparse.Namespace):
     rho = _load_state(cfg)
+    if 0 < cfg.epsilon < 2 * np.finfo(float).tiny:  # the readout at epsilon / 2 needs it normal
+        raise _UsageError(f"epsilon {cfg.epsilon!r} is out of range: epsilon / 2 must be normal")
     flipped, probabilities, exact, defined, _ = (
         a[0] for a in protocol.weak_values_batch(rho.matrix[None]))
     try:

@@ -24,12 +24,13 @@ therefore the 2x2 mixture
 with P = J[j, j], N = J[pi(j), j] and Q = J[pi(j), pi(j)]. These come
 from the caller's post-selection record, protocol.weak_values_batch, passed
 in as (flipped, probabilities) with the record's defined mask; the layer
-never reads rho itself. Each moment sum is the contraction of these four
-coefficients with the overlaps <phi_b|O|phi_a> for O = 1, x, x^2, p, p^2.
-For Gaussians shifted by a (bra) and b (ket), with s2 = sigma^2,
-g = exp(-(a - b)^2 / (8 s2)), m = (a + b) / 2 and k = (a - b) / (4 s2):
+never reads rho itself. Each moment sum is linear in these four
+coefficients, weighted by the overlaps <phi_b|O|phi_a> for the three
+moments the readout divides, O = 1, x, p. For Gaussians shifted by a (bra)
+and b (ket), with s2 = sigma^2, g = exp(-(a - b)^2 / (8 s2)),
+m = (a + b) / 2 and k = (a - b) / (4 s2):
 
-    <1> = g,  <x> = g m,  <x^2> = g (m^2 + s2),  <p> = i g k,  <p^2> = g (1/(4 s2) - k^2).
+    <1> = g,  <x> = g m,  <p> = i g k.
 
 hbar = 1 throughout.
 """
@@ -92,9 +93,10 @@ class SimConfig:
 
     ``epsilon`` is the dimensionless coupling; the weak regime cap is
     enforced. epsilon = 0 is allowed (no coupling) for probability checks,
-    but readout needs epsilon > 0. The grid must hold the pointer in both
-    domains: the half-extent at least 10 sigma, and the momentum cutoff
-    pi/dx at least 10 momentum widths 1/(2 sigma).
+    but readout needs epsilon > 0, and a non-zero epsilon must be a normal
+    float, so that the readout keeps its digits. The grid must hold the
+    pointer in both domains: the half-extent at least 10 sigma, and the
+    momentum cutoff pi/dx at least 10 momentum widths 1/(2 sigma).
     """
 
     epsilon: float
@@ -104,6 +106,8 @@ class SimConfig:
     def __post_init__(self) -> None:
         if not 0.0 <= self.epsilon <= 0.1:
             raise ValueError(f"epsilon must be in [0, 0.1], got {self.epsilon}")
+        if 0.0 < self.epsilon < np.finfo(float).tiny:
+            raise ValueError(f"epsilon {self.epsilon!r} is out of range: it must be 0 or normal")
         if not self.sigma > 0:
             raise ValueError("sigma must be positive")
         _check_square("sigma", self.sigma)
@@ -123,46 +127,23 @@ def default_config(epsilon: float = 1e-3, sigma: float = 1.0) -> SimConfig:
     return SimConfig(epsilon=epsilon, sigma=sigma, grid=PointerGrid(n=4096, half_extent=40.0))
 
 
-def pointer_overlaps(cfg: SimConfig) -> np.ndarray:
-    """The (2, 2, 5) table <phi_b|O|phi_a> for phi_a, phi_b in
-    (phi_s, phi_d) and O = 1, x, x^2, p, p^2, from the closed forms of the
-    module docstring.
-
-    Each entry is the 1/2 (+-) combination of the four overlaps between the
-    Gaussians shifted by +epsilon and -epsilon: on the diagonal the rows
-    (1, +-epsilon, epsilon^2 + s2, 0, 1/(4 s2)), off it
-    (g, 0, g s2, +-i g k, g (1/(4 s2) - k^2)). 1 - g comes from expm1, so
-    phi_d's rows keep their relative precision as epsilon / sigma -> 0. At
-    epsilon = 0 the (phi_s, phi_s) row is the input pointer's own,
-    (1, 0, s2, 0, 1/(4 s2)).
-    """
-    eps, s2 = cfg.epsilon, cfg.sigma * cfg.sigma
-    q, k = 0.25 / s2, eps / (2.0 * s2)
-    g, h = math.exp(-eps * k), -math.expm1(-eps * k)  # g = exp(-eps^2 / (2 s2)), h = 1 - g
-    ip = 0.5j * g * k
-    return np.array([
-        [[(1 + g) / 2, 0, (eps * eps + (1 + g) * s2) / 2, 0, ((1 + g) * q - g * k * k) / 2],
-         [0, eps / 2, 0, ip, 0]],
-        [[0, eps / 2, 0, -ip, 0],
-         [h / 2, 0, (eps * eps + h * s2) / 2, 0, (h * q + g * k * k) / 2]],
-    ])
-
-
-def moment_table(flipped: np.ndarray, probabilities: np.ndarray,
-                 overlaps: np.ndarray) -> np.ndarray:
-    """(16, 5) moment sums of the unnormalised post-selected pointer, outcome
-    k in row k - 1. The columns are the post-selection probability,
-    sum x, sum x^2, sum p and sum p^2.
+def moment_sums(flipped: np.ndarray, probabilities: np.ndarray, cfg: SimConfig) -> np.ndarray:
+    """(16, 3) moment sums of the unnormalised post-selected pointer, outcome
+    k in row k - 1: the post-selection probability, sum x and sum p.
 
     ``flipped`` and ``probabilities`` are one state's row of the record of
-    :func:`protocol.weak_values_batch`, J[PERM[j], j] and J[j, j]. ``overlaps``
-    is the table of :func:`pointer_overlaps`. Every row, silent
-    outcomes included, contracts it with the 2x2 coefficients of the module
-    docstring.
+    :func:`protocol.weak_values_batch`, N = J[PERM[j], j] and P = J[j, j],
+    and Q = P[PERM]. With k = epsilon / (2 s2), g = exp(-epsilon k) and
+    h = 1 - g from expm1 (so phi_d keeps its relative precision as
+    epsilon / sigma -> 0), the overlaps of the module docstring give
+
+        sum 1 = P (1 + g) / 2 + Q h / 2,  sum x = Re N epsilon,  sum p = Im N g k
     """
-    coefficients = np.array([[probabilities, flipped.conj()],
-                             [flipped, probabilities[PERM]]])
-    return np.einsum("abk,abm->km", coefficients, overlaps).real
+    eps, s2 = cfg.epsilon, cfg.sigma * cfg.sigma
+    k = eps / (2.0 * s2)
+    g, h = math.exp(-eps * k), -math.expm1(-eps * k)
+    return np.stack([probabilities * ((1 + g) / 2) + probabilities[PERM] * (h / 2),
+                     flipped.real * eps, flipped.imag * (g * k)], axis=1)
 
 
 def estimate_weak_values(flipped: np.ndarray, probabilities: np.ndarray, defined: np.ndarray,
@@ -180,11 +161,11 @@ def estimate_weak_values(flipped: np.ndarray, probabilities: np.ndarray, defined
     """
     if not cfg.epsilon > 0:
         raise ValueError("readout needs epsilon > 0")
-    sums = moment_table(flipped, probabilities, pointer_overlaps(cfg))
+    sums = moment_sums(flipped, probabilities, cfg)
     read = defined & (sums[:, 0] >= TAU_DEN)
     rows = sums[read]
     real = rows[:, 1] / (rows[:, 0] * cfg.epsilon)
-    imag = 2.0 * cfg.sigma**2 * rows[:, 3] / (rows[:, 0] * cfg.epsilon)
+    imag = 2.0 * cfg.sigma**2 * rows[:, 2] / (rows[:, 0] * cfg.epsilon)
     estimates = np.zeros(16, dtype=complex)
     estimates[read] = real + 1j * imag
     return read, estimates, np.clip(sums[:, 0], 0.0, 1.0)

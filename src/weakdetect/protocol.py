@@ -128,31 +128,14 @@ class BatchReport:
         )
 
 
-_SIGMA_X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-
-
-def _conditional_flip() -> np.ndarray:
-    """Conditional-flip generator on two copies (qubits 0,1 | 2,3).
-
-    Block diagonal over the first copy's basis: the |00> and |01> blocks
-    flip qubit 3, the |10> block flips qubit 2, the |11> block flips both.
-    Each block is a tensor of X/identity factors, so the whole operator
-    squares to the identity.
-    """
-    eye2 = np.eye(2, dtype=complex)
-    blocks = (np.kron(eye2, _SIGMA_X), np.kron(eye2, _SIGMA_X),
-              np.kron(_SIGMA_X, eye2), np.kron(_SIGMA_X, _SIGMA_X))
-    h = np.zeros((16, 16), dtype=complex)
-    for i, block in enumerate(blocks):
-        h[4 * i:4 * i + 4, 4 * i:4 * i + 4] = block
-    return h
-
-
-HAMILTONIAN = _conditional_flip()
+# The conditional-flip generator on two copies (qubits 0,1 | 2,3) is a
+# permutation matrix: row j holds a single 1, in column PERM[j]. The first
+# copy's basis state a = j // 4 picks the second-copy bits it flips: qubit 3
+# for |00> and |01>, qubit 2 for |10>, both for |11>. So H is block diagonal
+# over the first copy and squares to the identity.
+PERM = np.arange(16) ^ np.repeat([1, 1, 2, 3], 4)
+HAMILTONIAN = np.eye(16, dtype=complex)[PERM]
 HAMILTONIAN.setflags(write=False)
-
-# H is a permutation matrix: row j holds a single 1, in column PERM[j].
-PERM = np.argmax(HAMILTONIAN.real, axis=1)
 
 # The interaction of detect_pure_local flips only the last qubit, so it maps
 # outcome index j to j ^ 1.
@@ -254,11 +237,16 @@ def _det_terms(diagonal: np.ndarray, elements: np.ndarray) -> np.ndarray:
     return terms
 
 
+def _det(diagonal: np.ndarray, elements: np.ndarray) -> np.ndarray:
+    """(N,) det(rho^TB), its 24 terms summed left to right at every N."""
+    return np.add.accumulate(_det_terms(diagonal, elements).real, axis=1)[:, -1]
+
+
 def det_ptb_expansion(rho: TwoQubitState) -> float:
     """det(rho^TB) from the 24-term polynomial that :func:`detect_batch`
     evaluates, fed with the matrix's own elements; valid on every state."""
     m = rho.matrix
-    return float(_det_terms(m.diagonal().real[None], m[_UPPER][None]).sum().real)
+    return float(_det(m.diagonal().real[None], m[_UPPER][None])[0])
 
 
 def detect_batch(stack: np.ndarray, *, tau_det: float = TAU_DET) -> BatchReport:
@@ -275,7 +263,7 @@ def detect_batch(stack: np.ndarray, *, tau_det: float = TAU_DET) -> BatchReport:
     """
     _, _, values, defined, diagonal = weak_values_batch(stack)
     elements = _elements(values, defined, diagonal, stack[:, _UPPER[0], _UPPER[1]])
-    det_value = _det_terms(diagonal, elements).sum(axis=1).real
+    det_value = _det(diagonal, elements)
     small = diagonal <= TAU_DIAG
     path = np.where(small[:, 0] | small[:, 3], 1, np.where(small[:, 1] | small[:, 2], 2, 0))
     pqrs = diagonal.prod(axis=1)

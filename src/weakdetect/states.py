@@ -244,10 +244,18 @@ def ppt_entangled(stack: np.ndarray, *, tau: float = TAU_DET) -> np.ndarray:
     sign, so they keep ``eigvalsh``, whose verdict is the definition the
     oracle answers to. Product states with an exact zero eigenvalue land
     there at ``tau = 0``.
+
+    The margin is summed as ``PPT_MARGIN + 4 PPT_MARGIN |tau|``, the
+    product's float wherever that is finite (PPT_MARGIN is a power of two),
+    and capped at the distance from ``|tau|`` to the largest float, so no
+    shift overflows. The cap binds only for ``|tau|`` within a relative
+    ``1024u`` of the float range, where a state's shifted matrix has
+    diagonal ``~|tau|`` against entries of at most 1 off it, so both tests
+    give the ``eigvalsh`` verdict.
     """
     pt = _partial_transpose(stack)
     n = len(pt)
-    margin = PPT_MARGIN * (1 + 4 * abs(tau))
+    margin = min(PPT_MARGIN + 4 * PPT_MARGIN * abs(tau), np.finfo(float).max - abs(tau))
     shifts = np.array([tau - margin, tau + margin])
     completes = _cholesky_completes((pt + shifts[:, None, None, None] * np.eye(4))
                                     .reshape(2 * n, 4, 4))

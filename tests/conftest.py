@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -69,6 +71,43 @@ def partial_transpose_b(rho):
 def det_ptb(rho):
     """det(rho^TB) via pivoted LU; real part (imaginary residue is roundoff)."""
     return float(np.linalg.det(partial_transpose_b(rho)).real)
+
+
+def bits(a):
+    """The uint64 words of a float or complex array: equal iff every value
+    is equal bit for bit, signed zeros included."""
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def exact_ppt_entangled(m):
+    """Exact reference verdict for a Hermitian 4x4 matrix: True when
+    ``m^TB + 2u * 1`` (u = 2^-53) is not positive semidefinite.
+
+    The float entries are exact binary rationals, so symmetric elimination
+    over ``fractions.Fraction`` on the real 8x8 form ``[[B, -C], [C, B]]``
+    of ``B + iC`` (whose spectrum is that of ``B + iC``, each eigenvalue
+    twice) decides with no roundoff. The matrix is not PSD iff a pivot is
+    negative, or a pivot is zero while the rest of its row is not.
+    """
+    pt = np.asarray(m).reshape(2, 2, 2, 2).swapaxes(1, 3).reshape(4, 4)
+    real = np.block([[pt.real, -pt.imag], [pt.imag, pt.real]])
+    a = [[Fraction(float(x)) for x in row] for row in real]
+    for i in range(8):
+        a[i][i] += Fraction(2, 2**53)
+    for k in range(8):
+        pivot = a[k][k]
+        if pivot < 0:
+            return True
+        if pivot == 0:
+            if any(a[k][k + 1:]):
+                return True
+            continue
+        for i in range(k + 1, 8):
+            factor = a[i][k] / pivot
+            if factor:
+                for j in range(k + 1, 8):
+                    a[i][j] -= factor * a[k][j]
+    return False
 
 
 def negativity(rho):

@@ -16,12 +16,7 @@ import numpy as np
 import pytest
 
 from weakdetect.circuit import unitary_vs_hamiltonian, verify_equivalence
-from weakdetect.pointer import (
-    default_config,
-    estimate_weak_values,
-    moment_table,
-    pointer_overlaps,
-)
+from weakdetect.pointer import default_config, estimate_weak_values, moment_sums
 from weakdetect.protocol import (
     HAMILTONIAN,
     det_ptb_expansion,
@@ -151,7 +146,7 @@ def test_criterion_06_pointer_convergence():
     rng = np.random.default_rng(6)
     cfg_full = default_config(1e-3)
     cfg_half = default_config(5e-4)
-    overlaps_zero = pointer_overlaps(default_config(0.0))
+    cfg_zero = default_config(0.0)
     worst_err = 0.0
     ratios = []
     for _ in range(50):
@@ -173,7 +168,7 @@ def test_criterion_06_pointer_convergence():
         assert 1.7 <= ratio <= 4.3
         # probability exactness at zero coupling
         joint = np.kron(rho.matrix, rho.matrix)
-        probabilities = moment_table(flipped, probabilities, overlaps_zero)[:, 0]
+        probabilities = moment_sums(flipped, probabilities, cfg_zero)[:, 0]
         assert (np.abs(probabilities - np.diag(joint).real) <= 1e-12).all()
     _report(6, f"pointer estimates within 5 epsilon of exact on 50 states "
                f"(worst {worst_err:.2e}); halving ratios in "

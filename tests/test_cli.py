@@ -15,8 +15,10 @@ from weakdetect import protocol
 from weakdetect.cli import main
 from weakdetect.protocol import TAU_DIAG
 from weakdetect.states import (
-    bell_phi_plus, ppt_oracle, random_mixed, state_to_json_dict, validate, werner,
+    bell_phi_plus, ppt_oracle, random_mixed, random_pure, state_to_json_dict, validate, werner,
 )
+
+from conftest import amplitudes_to_json_dict
 
 SRC_DIR = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -51,6 +53,11 @@ BAD_NUMERIC_ARGVS = [
     ["robustness", "--delta", "inf"],
     ["pointer-sim", "--epsilon", "0.5"],
     ["pointer-sim", "--epsilon", "0"],
+    # epsilon / 2 subnormal or zero: the readout would lose its digits
+    ["pointer-sim", "--epsilon", "5e-324"],
+    ["pointer-sim", "--epsilon", "1e-323"],
+    ["pointer-sim", "--epsilon", "1e-318"],
+    ["pointer-sim", "--epsilon", repr(float(np.finfo(float).tiny))],
     ["pointer-sim", "--sigma", "0"],
     ["pointer-sim", "--sigma", "5"],
     ["pointer-sim", "--grid-n", "100"],
@@ -237,6 +244,20 @@ class TestPointerSim:
                                       "--sigma", repr(sigma), "--grid-l", repr(40 * sigma)])
         assert code == 0
         assert json.loads(out)["max_abs_error"] <= 5e-3
+
+    def test_smallest_epsilon_reads_out(self, capsys, werner_file):
+        # twice the smallest normal float: epsilon / 2 is normal too
+        epsilon = repr(2 * float(np.finfo(float).tiny))
+        code, out = run_main(capsys, ["pointer-sim", "--input", werner_file, "--epsilon", epsilon])
+        assert code == 0
+        doc = json.loads(out, parse_constant=_refuse_constant)
+        assert doc["max_abs_error"] <= 5 * doc["epsilon"]
+
+    def test_refusal_names_the_flag_value(self, capsys, werner_file):
+        epsilon = repr(float(np.finfo(float).tiny))  # normal, but epsilon / 2 is not
+        assert main(["pointer-sim", "--input", werner_file, "--epsilon", epsilon]) == 1
+        assert capsys.readouterr().err == (
+            f"weakdetect: error: epsilon {epsilon} is out of range: epsilon / 2 must be normal\n")
 
 
 class TestCircuitVerify:
@@ -480,6 +501,34 @@ class TestExitCodes:
             code = proc.wait(timeout=120)
         assert code == cli.EXIT_IO
         assert b"Traceback" not in err
+
+
+# Flag values at the ends of the float range, for every command.
+EXTREME_VALUES = ("5e-324", "1e-323", "1e-318", repr(float(np.finfo(float).tiny)), "1e-300",
+                  "0", "1", "1e300", "1.7e308")
+
+
+def _refuse_constant(name):
+    raise ValueError(f"{name} in a document")
+
+
+@pytest.mark.parametrize("command", cli.COMMANDS)
+def test_extreme_flag_values_keep_the_output_contract(capsys, tmp_path, command):
+    # Exit 0 with a strict-JSON document, or exit 1; a RuntimeWarning fails
+    # the test through the warnings filter.
+    path = tmp_path / "input.json"
+    if command == "detect-pure":
+        path.write_text(json.dumps(amplitudes_to_json_dict(random_pure(0))))
+    else:
+        path.write_text(json.dumps(state_to_json_dict(random_mixed(0))))
+    for value in EXTREME_VALUES:
+        sigma = ["--sigma", value, "--grid-l", repr(40 * float(value))]
+        for flags in (["--epsilon", value], sigma, ["--delta", value], ["--tol-det", value]):
+            code = main([command, "--input", str(path), "--trials", "20", *flags])
+            out = capsys.readouterr().out
+            assert code in (0, 1), flags
+            if code == 0:
+                json.loads(out, parse_constant=_refuse_constant)
 
 
 class TestDeterminism:

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,19 +9,18 @@ from weakdetect.pointer import (
     SimConfig,
     default_config,
     estimate_weak_values,
-    moment_table,
-    pointer_overlaps,
+    moment_sums,
 )
-from weakdetect.protocol import HAMILTONIAN, TAU_DEN
+from weakdetect.protocol import HAMILTONIAN, PERM, TAU_DEN
 from weakdetect.states import bell_phi_plus, random_mixed, random_pure, validate, werner
 
-from conftest import record
+from conftest import bits, record
 
 seeds = st.integers(0, 10**6)
 
 
 def table(rho, cfg):
-    return moment_table(*record(rho)[:2], pointer_overlaps(cfg))
+    return moment_sums(*record(rho)[:2], cfg)
 
 
 def readout(rho, cfg):
@@ -29,10 +30,65 @@ def readout(rho, cfg):
     return estimate_weak_values(flipped, probabilities, defined, cfg)
 
 
+# --- the overlap-table reference --------------------------------------------
+#
+# The readout's earlier form: the (2, 2, 5) table of overlaps <phi_b|O|phi_a>,
+# O = 1, x, x^2, p, p^2, contracted with the 2x2 coefficients of every
+# outcome. moment_sums must return its 1, x and p columns bit for bit.
+
+# The moment columns the readout divides, 1, x and p, in the (16, 5) table.
+MOMENTS = [0, 1, 3]
+
+
+def reference_overlaps(cfg):
+    """The (2, 2, 5) table <phi_b|O|phi_a> for phi_a, phi_b in
+    (phi_s, phi_d) and O = 1, x, x^2, p, p^2, from the closed forms of the
+    pointer module docstring; at epsilon = 0 the (phi_s, phi_s) row is the
+    input pointer's own, (1, 0, s2, 0, 1/(4 s2))."""
+    eps, s2 = cfg.epsilon, cfg.sigma * cfg.sigma
+    q, k = 0.25 / s2, eps / (2.0 * s2)
+    g, h = math.exp(-eps * k), -math.expm1(-eps * k)
+    ip = 0.5j * g * k
+    return np.array([
+        [[(1 + g) / 2, 0, (eps * eps + (1 + g) * s2) / 2, 0, ((1 + g) * q - g * k * k) / 2],
+         [0, eps / 2, 0, ip, 0]],
+        [[0, eps / 2, 0, -ip, 0],
+         [h / 2, 0, (eps * eps + h * s2) / 2, 0, (h * q + g * k * k) / 2]],
+    ])
+
+
+def reference_moment_table(flipped, probabilities, overlaps):
+    """(16, 5) moment sums: the 2x2 coefficients [[P, N*], [N, Q]] of every
+    outcome contracted with a (2, 2, 5) overlap table."""
+    coefficients = np.array([[probabilities, flipped.conj()],
+                             [flipped, probabilities[PERM]]])
+    return np.einsum("abk,abm->km", coefficients, overlaps).real
+
+
+def reference_readout(flipped, probabilities, defined, cfg):
+    """estimate_weak_values through the overlap-table contraction."""
+    sums = reference_moment_table(flipped, probabilities, reference_overlaps(cfg))
+    read = defined & (sums[:, 0] >= TAU_DEN)
+    rows = sums[read]
+    real = rows[:, 1] / (rows[:, 0] * cfg.epsilon)
+    imag = 2.0 * cfg.sigma**2 * rows[:, 3] / (rows[:, 0] * cfg.epsilon)
+    estimates = np.zeros(16, dtype=complex)
+    estimates[read] = real + 1j * imag
+    return read, estimates, np.clip(sums[:, 0], 0.0, 1.0)
+
+
+# A record whose rows 0, 1, 4 and 8 carry the coefficient patterns P = 1,
+# Q = 1 (PERM[1] = 0), N = 1 and N = i, and every other row zeros: each
+# overlap the readout reads enters some row alone.
+UNIT_FLIPPED = np.zeros(16, dtype=complex)
+UNIT_FLIPPED[[4, 8]] = [1, 1j]
+UNIT_PROBABILITIES = np.eye(16)[0]
+
+
 # --- the grid reference -----------------------------------------------------
 #
 # The pointer evolved on an FFT grid: the reference that the closed-form
-# overlap table and the moment sums are checked against.
+# moment sums are checked against.
 
 def positions(grid):
     return -grid.half_extent + grid.dx * np.arange(grid.n)
@@ -60,7 +116,7 @@ def translate(wave, grid, delta):
 
 
 def grid_overlaps(cfg):
-    """pointer_overlaps on the grid, and the input pointer's row
+    """The (2, 2, 5) overlap table on the grid, and the input pointer's row
     <phi|O|phi>, O = 1, x, x^2, p, p^2, with momentum sums over the FFT grid."""
     grid = cfg.grid
     phi_in = gaussian_pointer(cfg.sigma, grid)
@@ -85,9 +141,9 @@ def _ensemble(joint, cutoff=1e-14):
 
 
 def ensemble_moment_table(rho, cfg):
-    """Reference for moment_table: evolve each branch of the eigen-ensemble
-    of rho x rho with the pointer, post-select, and sum the branches' moments
-    on the grid, with one FFT per branch and outcome."""
+    """Reference for moment_sums: evolve each branch of the eigen-ensemble
+    of rho x rho with the pointer, post-select, and sum the branches'
+    moments 1, x and p on the grid, with one FFT per branch and outcome."""
     h = HAMILTONIAN
     branches = _ensemble(np.kron(rho.matrix, rho.matrix))
     phi_in = gaussian_pointer(cfg.sigma, cfg.grid)
@@ -95,7 +151,7 @@ def ensemble_moment_table(rho, cfg):
     phi_plus = translate(phi_in, grid, +cfg.epsilon)
     phi_minus = translate(phi_in, grid, -cfg.epsilon)
     x, p = positions(grid), momenta(grid)
-    sums = np.zeros((16, 5))
+    sums = np.zeros((16, 3))
     for idx in range(16):
         for weight, psi in branches:
             flipped = h @ psi
@@ -105,8 +161,7 @@ def ensemble_moment_table(rho, cfg):
             density = np.abs(chi) ** 2 * grid.dx
             momentum_density = np.abs(np.fft.fft(chi)) ** 2 * momentum_weight(grid)
             sums[idx] += weight * np.array([
-                np.sum(density), np.sum(x * density), np.sum(x**2 * density),
-                np.sum(p * momentum_density), np.sum(p**2 * momentum_density),
+                np.sum(density), np.sum(x * density), np.sum(p * momentum_density),
             ])
     return sums
 
@@ -126,9 +181,9 @@ class TestGrid:
 
 
 def input_moments(sigma):
-    """(mean x, var x, mean p, var p) of the input Gaussian: at epsilon = 0
-    the (phi_s, phi_s) row of pointer_overlaps is the input pointer's own."""
-    _, x, x2, p, p2 = pointer_overlaps(default_config(0.0, sigma))[0, 0].real
+    """(mean x, var x, mean p, var p) of the input Gaussian on the grid: the
+    readout's Im A = <p> / (2 epsilon Var(p)) takes Var(p) = 1/(4 sigma^2)."""
+    _, x, x2, p, p2 = grid_overlaps(default_config(0.0, sigma))[1]
     return x, x2 - x**2, p, p2 - p**2
 
 
@@ -167,9 +222,11 @@ class TestOverlapTable:
         # relative to each moment's size in the input pointer:
         # 1, sigma, sigma^2, 1/(2 sigma), 1/(4 sigma^2)
         cfg = SimConfig(epsilon=eps, sigma=sigma, grid=PointerGrid(n=n, half_extent=40.0))
-        want, reference = grid_overlaps(cfg)
+        overlaps, reference = grid_overlaps(cfg)
         scale = np.array([1.0, sigma, sigma**2, 0.5 / sigma, 0.25 / sigma**2])
-        assert (np.abs(pointer_overlaps(cfg) - want) <= 1e-12 * scale).all()
+        want = reference_moment_table(UNIT_FLIPPED, UNIT_PROBABILITIES, overlaps)[:, MOMENTS]
+        got = moment_sums(UNIT_FLIPPED, UNIT_PROBABILITIES, cfg)
+        assert (np.abs(got - want) <= 1e-12 * scale[MOMENTS]).all()
         row = np.array([1.0, 0.0, sigma**2, 0.0, 0.25 / sigma**2])
         assert (np.abs(row - reference) <= 1e-12 * scale).all()
 
@@ -212,13 +269,13 @@ class TestEvolveAndPostselect:
         assert (np.abs(probabilities - np.diag(joint).real) <= 1e-12).all()
 
     def test_zero_coupling_pointer_unchanged(self):
-        prob, sum_x, sum_x2, _, _ = table(random_mixed(22), default_config(0.0))[15]
+        prob, sum_x, sum_p = table(random_mixed(22), default_config(0.0))[15]
         assert sum_x / prob == pytest.approx(0.0, abs=1e-12)
-        assert sum_x2 / prob - (sum_x / prob) ** 2 == pytest.approx(1.0, abs=1e-8)
+        assert sum_p / prob == pytest.approx(0.0, abs=1e-12)
 
     def test_bell_k16_first_order_shift(self):
         # exact weak value w/s = 1: the whole wave translates by epsilon
-        prob, sum_x, _, sum_p, _ = table(bell_phi_plus(), default_config(1e-3))[15]
+        prob, sum_x, sum_p = table(bell_phi_plus(), default_config(1e-3))[15]
         assert prob == pytest.approx(0.25, abs=1e-12)
         assert sum_x / prob == pytest.approx(1e-3, abs=1e-12)
         assert sum_p / prob == pytest.approx(0.0, abs=1e-12)
@@ -268,7 +325,7 @@ class TestReadout:
         cfg = default_config(1e-3)
         row = table(rho, cfg)[15]
         var_p = 1.0 / (4 * cfg.sigma**2)
-        assert row[3] / row[0] == pytest.approx(-2 * cfg.epsilon * var_p, rel=1e-4)
+        assert row[2] / row[0] == pytest.approx(-2 * cfg.epsilon * var_p, rel=1e-4)
         read, estimates, _ = readout(rho, cfg)
         assert read[15]
         assert estimates[15].imag == pytest.approx(-1.0, abs=1e-5)
@@ -277,6 +334,36 @@ class TestReadout:
     def test_requires_positive_epsilon(self):
         with pytest.raises(ValueError, match="epsilon > 0"):
             readout(bell_phi_plus(), default_config(0.0))
+
+
+FAMILY_STATES = {
+    "ginibre": lambda: [random_mixed(seed) for seed in range(12)],
+    "pure": lambda: [random_pure(seed).to_state() for seed in range(12)],
+    "werner": lambda: [werner(p) for p in np.linspace(0.0, 1.0, 12)],
+}
+
+
+class TestMatchesOverlapTable:
+    """The three moment sums against the overlap-table contraction they
+    replace: every returned array equal bit for bit, signed zeros included."""
+
+    @pytest.mark.parametrize("family", FAMILY_STATES)
+    def test_bits_match_contraction(self, family):
+        for rho in FAMILY_STATES[family]():
+            flipped, probabilities, _, defined, _ = record(rho)
+            for eps in np.geomspace(1e-5, 0.1, 9):
+                for sigma in np.geomspace(0.03, 1000.0, 9):
+                    grid = PointerGrid(n=4096, half_extent=40.0 * sigma)
+                    cfg = SimConfig(epsilon=float(eps), sigma=float(sigma), grid=grid)
+                    want = reference_moment_table(flipped, probabilities,
+                                                  reference_overlaps(cfg))[:, MOMENTS]
+                    assert np.array_equal(bits(moment_sums(flipped, probabilities, cfg)),
+                                          bits(want))
+                    got = estimate_weak_values(flipped, probabilities, defined, cfg)
+                    want = reference_readout(flipped, probabilities, defined, cfg)
+                    assert np.array_equal(got[0], want[0])
+                    assert np.array_equal(bits(got[1]), bits(want[1]))
+                    assert np.array_equal(bits(got[2]), bits(want[2]))
 
 
 class TestEstimateWeakValues:
@@ -348,3 +435,10 @@ class TestRangeChecks:
         grid = PointerGrid(4096, 1.0)
         SimConfig(epsilon=1e-3, sigma=5 * grid.dx / np.pi, grid=grid)
         SimConfig(epsilon=1e-3, sigma=0.1, grid=grid)
+
+    def test_epsilon_is_zero_or_normal(self):
+        tiny = float(np.finfo(float).tiny)
+        SimConfig(epsilon=tiny, sigma=1.0, grid=default_config().grid)
+        for epsilon in (np.nextafter(tiny, 0), 5e-324):
+            with pytest.raises(ValueError, match="out of range"):
+                SimConfig(epsilon=epsilon, sigma=1.0, grid=default_config().grid)

@@ -34,9 +34,13 @@ from weakdetect.states import (
 )
 
 from conftest import (
+    SIGMA_X,
+    SIGMA_Y,
+    SIGMA_Z,
     amplitudes_to_json_dict,
     det_ptb,
     entanglement_estimate,
+    exact_ppt_entangled,
     negativity,
     partial_transpose_b,
 )
@@ -339,14 +343,19 @@ def ginibre_family(rng):
     return random_mixed_batch(rng, 256)
 
 
-def werner_edge_family(rng):
-    # p = 1/3 +/- 10^-k, k = 1..15, each under 8 local rotations
-    p = 1 / 3 + np.outer([1, -1], 10.0 ** -np.arange(1, 16)).ravel()
+def werner_stack(p):
+    """Werner states p |Phi+><Phi+| + (1 - p) I/4, one per mixing p."""
     m = np.zeros((len(p), 4, 4), dtype=complex)
     m[:, 0, 0] = m[:, 3, 3] = (1 + p) / 4
     m[:, 1, 1] = m[:, 2, 2] = (1 - p) / 4
     m[:, 0, 3] = m[:, 3, 0] = p / 2
-    return rotated(rng, np.repeat(m, 8, axis=0))
+    return m
+
+
+def werner_edge_family(rng):
+    # p = 1/3 +/- 10^-k, k = 1..15, each under 8 local rotations
+    p = 1 / 3 + np.outer([1, -1], 10.0 ** -np.arange(1, 16)).ravel()
+    return rotated(rng, np.repeat(werner_stack(p), 8, axis=0))
 
 
 def weak_pure_family(rng):
@@ -448,6 +457,56 @@ class TestPptScreen:
         ppt_entangled(stack, tau=0.0)
         assert len(solved) == 1
         assert np.array_equal(solved[0], partial_transposes(stack)[band])
+
+    @pytest.mark.parametrize("tau", [1.0, 1e300, 4.5e307, 1.7e308, np.finfo(float).max])
+    def test_matches_eigenvalue_reference_at_large_tau(self, tau):
+        # the margin PPT_MARGIN * (1 + 4 tau) overflows above about 4.5e307
+        stack = np.concatenate([FAMILIES[name](np.random.default_rng(7))
+                                for name in ("ginibre_family", "product_family")])
+        expected = smallest_pt_eigenvalue(stack) < -tau
+        assert np.array_equal(ppt_entangled(stack, tau=tau), expected)
+
+
+def exact_product_states():
+    """The 36 products of the six Pauli eigenstates (1 + n.sigma) / 2, every
+    entry exact."""
+    pures = [(np.eye(2) + sign * pauli) / 2 for pauli in (SIGMA_X, SIGMA_Y, SIGMA_Z)
+             for sign in (1, -1)]
+    return np.stack([np.kron(a, b) for a in pures for b in pures])
+
+
+def exact_reference_stratum(name, rng):
+    """200 locally rotated states of one stratum near or on the boundary."""
+    if name == "ginibre":
+        return rotated(rng, random_mixed_batch(rng, 200))
+    if name == "weak_pure":
+        eta = 10.0 ** rng.uniform(-6, -1, 200)
+        v = np.zeros((200, 4), dtype=complex)
+        v[:, 0], v[:, 3] = np.sqrt(1 - eta), np.sqrt(eta)
+        return rotated(rng, pure_stack(v))
+    if name == "werner_edge":
+        p = 1 / 3 + rng.choice([-1.0, 1.0], 200) * 10.0 ** rng.uniform(-12, -2, 200)
+        return rotated(rng, werner_stack(p))
+    return rotated(rng, pure_stack(np.tile(np.eye(4, dtype=complex)[0], (200, 1))))
+
+
+class TestExactReference:
+    """``ppt_entangled`` against the exact rational verdict of
+    ``conftest.exact_ppt_entangled``, which has no roundoff band."""
+
+    def test_known_verdicts(self, bell, maximally_mixed):
+        assert exact_ppt_entangled(bell.matrix)
+        assert exact_ppt_entangled(werner(1 / 3 + 1e-3).matrix)
+        assert not exact_ppt_entangled(werner(1 / 3 - 1e-3).matrix)
+        assert not exact_ppt_entangled(maximally_mixed.matrix)
+        assert not any(exact_ppt_entangled(m) for m in exact_product_states())
+
+    @pytest.mark.parametrize("name", ["ginibre", "weak_pure", "werner_edge", "pure_product"])
+    def test_oracle_disagreements_lie_in_the_band(self, name):
+        stack = exact_reference_stratum(name, np.random.default_rng(13))
+        exact = np.array([exact_ppt_entangled(m) for m in stack])
+        off = ppt_entangled(stack, tau=0.0) != exact
+        assert (np.abs(smallest_pt_eigenvalue(stack[off])) <= PPT_MARGIN).all()
 
 
 class TestNegativity:
